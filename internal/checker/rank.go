@@ -9,7 +9,6 @@ import (
 	"faultyrank/internal/core"
 	"faultyrank/internal/graph"
 	"faultyrank/internal/inject"
-	"faultyrank/internal/par"
 	"faultyrank/internal/telemetry"
 	"faultyrank/internal/wire"
 )
@@ -60,9 +59,9 @@ type RankManifest struct {
 	Steps []core.SuperstepStats `json:"steps,omitempty"`
 }
 
-// runRank executes the rank iteration: the legacy single-process kernel
-// for RankWorkers <= 1 (the degenerate case every pre-existing caller
-// stays on), the partitioned BSP execution otherwise.
+// runRank executes the rank iteration: the single-process kernel
+// (core.Run, or core.RunIncremental with RankIncremental) for
+// RankWorkers <= 1, the partitioned BSP execution otherwise.
 func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	k := opt.RankWorkers
 	if k <= 1 {
@@ -85,6 +84,11 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	}
 
 	opt.Core.OnIteration = journalIterations(obs, "superstep", opt.Core.OnIteration)
+	// The partition workers split the rank worker budget, which falls
+	// back to the run's.
+	if opt.Core.Workers <= 0 {
+		opt.Core.Workers = opt.Workers
+	}
 	_, partSpan := telemetry.StartSpan(ctx, "partition")
 	owners := res.Unified.PartitionOwners(k)
 	plan := graph.PartitionPlan(res.Graph, owners, k, opt.Workers)
@@ -110,7 +114,10 @@ func runRank(ctx context.Context, res *Result, opt Options, obs *runObs) error {
 	if tcpRank {
 		rank, rep, err = rankOverTCP(ctx, plan, opt, obs, man)
 	} else {
-		rank, rep, err = rankInProcess(ctx, plan, opt)
+		// Same protocol and frames as TCP, over channel link pairs.
+		rank, rep, err = core.RunPartitioned(plan, opt.Core, func(p int, st *core.PartState, link core.Link) error {
+			return workerLoop(ctx, p, opt, st, link)
+		})
 	}
 	if rep != nil {
 		man.Supersteps = len(rep.Supersteps)
@@ -162,61 +169,15 @@ func journalIterations(obs *runObs, kind string, prev func(int, float64)) func(i
 	}
 }
 
-// partOptions divides the run's worker budget across partitions
-// (minimum 1 each), mirroring core.RunPartitioned's split.
-func partOptions(opt Options, k int) core.Options {
-	wopt := opt.Core
-	w := wopt.Workers
-	if w <= 0 {
-		w = opt.Workers
-	}
-	if w <= 0 {
-		w = par.DefaultWorkers()
-	}
-	wopt.Workers = w / k
-	if wopt.Workers < 1 {
-		wopt.Workers = 1
-	}
-	return wopt
-}
-
 // workerLoop is one rank worker's lifetime under its own telemetry
 // span, with any injected fault interposed on the link.
-func workerLoop(ctx context.Context, plan *graph.Plan, p int, wopt core.Options, opt Options, link core.Link) error {
+func workerLoop(ctx context.Context, p int, opt Options, st *core.PartState, link core.Link) error {
 	_, sp := telemetry.StartSpan(ctx, fmt.Sprintf("rank:p%d", p))
 	defer sp.End()
 	if f := opt.RankFaults[p]; f != nil {
 		link = f.WrapLink(link)
 	}
-	return core.RunPartition(core.NewPartState(plan.Parts[p], wopt), link)
-}
-
-// rankInProcess runs the workers as goroutines on channel link pairs —
-// same protocol, same frames, no sockets.
-func rankInProcess(ctx context.Context, plan *graph.Plan, opt Options) (*core.Result, *core.ExchangeReport, error) {
-	wopt := partOptions(opt, plan.K)
-	links := make([]core.Link, plan.K)
-	workers := make([]*core.LocalLink, plan.K)
-	var wg sync.WaitGroup
-	for p := 0; p < plan.K; p++ {
-		coord, worker := core.LinkPair()
-		links[p], workers[p] = coord, worker
-		wg.Add(1)
-		go func(p int, worker *core.LocalLink) {
-			defer wg.Done()
-			// A worker death tears its pair down, so the coordinator's
-			// next wait on this partition returns a named PartError.
-			if err := workerLoop(ctx, plan, p, wopt, opt, worker); err != nil {
-				worker.Close()
-			}
-		}(p, worker)
-	}
-	rank, rep, err := core.Coordinate(plan, links, opt.Core)
-	for _, w := range workers {
-		w.Close()
-	}
-	wg.Wait()
-	return rank, rep, err
+	return core.RunPartition(st, link)
 }
 
 // rankRemote reports whether the rank workers are separate processes:
@@ -289,7 +250,7 @@ func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs
 		})
 	}
 
-	wopt := partOptions(opt, plan.K)
+	wopt := core.PartOptions(opt.Core, plan.K)
 	var wg sync.WaitGroup
 	var procs *spawnedWorkers
 	if opt.rankRemote() {
@@ -317,7 +278,7 @@ func rankOverTCP(ctx context.Context, plan *graph.Plan, opt Options, obs *runObs
 					return
 				}
 				defer conn.Close()
-				if err := workerLoop(rankCtx, plan, p, wopt, opt, conn); err != nil {
+				if err := workerLoop(rankCtx, p, opt, core.NewPartState(plan.Parts[p], wopt), conn); err != nil {
 					recordErr(p, err)
 				}
 			}(p)

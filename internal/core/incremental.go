@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
 )
 
 // FrontierStats records what RunIncremental actually recomputed — the
@@ -28,16 +27,19 @@ type FrontierStats struct {
 	Saturated bool `json:"saturated"`
 }
 
-// vertSet is an O(1)-membership set with a dense iteration list. Marking
-// is sequential; the list is consumed by parallel phase kernels (reads
-// only). Order of the list never affects results: phase updates write
-// disjoint vertices and the max-delta reduction is order-independent.
+// vertSet is an O(1)-membership set with a dense iteration list, of
+// vertices or of sink blocks. Marking is sequential; the list is
+// consumed by parallel kernels (reads only). Order of the list never
+// affects results: phase updates write disjoint vertices, the max-delta
+// reduction is order-independent and block partials are independent.
+// The list is never nil, since a nil row list means "every row" to the
+// sweeper.
 type vertSet struct {
 	in   []bool
 	list []uint32
 }
 
-func newVertSet(n int) *vertSet { return &vertSet{in: make([]bool, n)} }
+func newVertSet(n int) *vertSet { return &vertSet{in: make([]bool, n), list: []uint32{}} }
 
 func (s *vertSet) mark(v uint32) {
 	if !s.in[v] {
@@ -53,28 +55,22 @@ func (s *vertSet) clear() {
 	s.list = s.list[:0]
 }
 
-// blkSet tracks which canonical sink blocks contain rewritten vertices
-// since their cached partial was last refreshed. all short-circuits the
-// bookkeeping after a full sweep.
-type blkSet struct {
-	in   []bool
-	list []int32
-	all  bool
-}
+// frontier decides which rows each phase of the iteration loop
+// recomputes. Phase 0 is A, phase 1 is B. A full frontier (Run, or a
+// saturated incremental run) sweeps every row and tracks nothing.
+type frontier struct {
+	st     FrontierStats
+	n      int
+	theta  float64 // propagation bound on the raw rank scale
+	satCap int
 
-func (s *blkSet) mark(blk int) {
-	if !s.all && !s.in[blk] {
-		s.in[blk] = true
-		s.list = append(s.list, int32(blk))
-	}
-}
-
-func (s *blkSet) reset() {
-	for _, b := range s.list {
-		s.in[b] = false
-	}
-	s.list = s.list[:0]
-	s.all = false
+	full     bool        // sweep every row for the rest of the run
+	verify   bool        // the next iteration is the verification sweep
+	haveBase bool        // prevBase holds the previous iteration's bases
+	prevBase [2]float64  // per phase: the last redistribution base
+	swept    [2]bool     // per phase: this iteration swept every row
+	cur      [2]*vertSet // per phase: the rows to recompute next
+	delta    []float64   // per row: the signed Δ of its last rewrite
 }
 
 // RunIncremental executes the FaultyRank iteration recomputing only the
@@ -90,11 +86,8 @@ func (s *blkSet) reset() {
 // full verification sweep (a bit-exact cold iteration) whose diff is
 // below Epsilon, so a converged incremental result satisfies the cold
 // kernel's criterion on the whole graph, not just the frontier. Sink
-// mass keeps the canonical sinkBlock fold by caching per-block partials
-// and recomputing exactly the blocks containing rewritten vertices —
-// a whole-block sequential recompute is bit-identical to the cold
-// partial, and the ascending fold is unchanged, so results stay
-// deterministic for any worker count.
+// mass keeps the canonical sinkBlock fold through sinkCache, so results
+// stay deterministic for any worker count.
 //
 // The dirty slice holds vertex IDs (GIDs) in [0, N); out-of-range
 // entries are ignored. RunIncremental needs valid warm vectors to be
@@ -102,68 +95,21 @@ func (s *blkSet) reset() {
 // empty graph) it delegates to Run, returning a nil Frontier.
 func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 	n := b.N()
-	sigma := opt.Smoothing
-	blend := 1 - sigma
-	if n == 0 || blend <= 0 || len(opt.InitialID) != n || len(opt.InitialProp) != n {
+	if n == 0 || opt.Smoothing >= 1 || len(opt.InitialID) != n || len(opt.InitialProp) != n {
 		return Run(b, opt)
 	}
-	workers := opt.workers()
-	// theta is on the raw rank scale: Diffs divide by blend before the
-	// Epsilon comparison, so the comparable per-write bound scales back.
-	theta := opt.Epsilon * opt.frontierSlack() * blend
-	satCap := n
+	fr := &frontier{
+		n: n,
+		// Diffs divide by blend before the Epsilon comparison, so the
+		// comparable per-write bound scales back.
+		theta:  opt.Epsilon * opt.frontierSlack() * (1 - opt.Smoothing),
+		satCap: n,
+		cur:    [2]*vertSet{newVertSet(n), newVertSet(n)},
+		delta:  make([]float64, n),
+	}
 	if f := opt.frontierSaturation(); f < 1 {
-		satCap = int(f * float64(n))
+		fr.satCap = int(f * float64(n))
 	}
-
-	res := &Result{
-		IDRank:   append([]float64(nil), opt.InitialID...),
-		PropRank: append([]float64(nil), opt.InitialProp...),
-		Frontier: &FrontierStats{},
-	}
-	rescaleMass(res.IDRank)
-	rescaleMass(res.PropRank)
-	id, prop := res.IDRank, res.PropRank
-	st := res.Frontier
-	invOut, invW := rankDivisors(b, opt, workers)
-
-	// Cached canonical sink partials (see sinkBlockSum). partA sums prop
-	// over phase-A sinks; partB sums id over phase-B sinks. dirtyA/dirtyB
-	// are the blocks whose partial is stale.
-	nb := (n + sinkBlock - 1) / sinkBlock
-	partA := make([]float64, nb)
-	partB := make([]float64, nb)
-	refreshAll := func(part, rank, invDiv []float64) {
-		par.ForRange(nb, workers, func(lo, hi int) {
-			for blk := lo; blk < hi; blk++ {
-				part[blk] = sinkBlockSum(rank, invDiv, blk)
-			}
-		})
-	}
-	refreshAll(partA, prop, invOut)
-	refreshAll(partB, id, invW)
-	dirtyA := &blkSet{in: make([]bool, nb)}
-	dirtyB := &blkSet{in: make([]bool, nb)}
-	refresh := func(part, rank, invDiv []float64, blks *blkSet) float64 {
-		if blks.all {
-			refreshAll(part, rank, invDiv)
-		} else {
-			par.ForRange(len(blks.list), workers, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					blk := int(blks.list[k])
-					part[blk] = sinkBlockSum(rank, invDiv, blk)
-				}
-			})
-		}
-		blks.reset()
-		var sum float64
-		for _, p := range part {
-			sum += p
-		}
-		return sum
-	}
-
-	curA, curB := newVertSet(n), newVertSet(n)
 	// Seed: a dirty vertex's own equations changed (its adjacency lists
 	// and divisors are new), and so did every equation multiplying its
 	// divisors or reading its (re)moved edges — its neighbours in either
@@ -175,196 +121,104 @@ func RunIncremental(b *graph.Bidirected, opt Options, dirty []uint32) *Result {
 			seeded.mark(d)
 		}
 	}
-	st.Seeds = len(seeded.list)
+	fr.st.Seeds = len(seeded.list)
 	for _, d := range seeded.list {
-		curA.mark(d)
-		curB.mark(d)
-		s, e := b.Fwd.EdgeRange(d)
-		for i := s; i < e; i++ {
-			curA.mark(b.Fwd.Targets[i])
-			curB.mark(b.Fwd.Targets[i])
-		}
-		s, e = b.Rev.EdgeRange(d)
-		for i := s; i < e; i++ {
-			curA.mark(b.Rev.Targets[i])
-			curB.mark(b.Rev.Targets[i])
-		}
-	}
-
-	var allVerts []uint32 // lazily built full-sweep "active" list
-	allList := func() []uint32 {
-		if allVerts == nil {
-			allVerts = make([]uint32, n)
-			par.ForRange(n, workers, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					allVerts[v] = uint32(v)
-				}
-			})
-		}
-		return allVerts
-	}
-
-	// scratch[v] holds this phase's raw delta for every v it recomputed;
-	// entries outside the active list are stale and never read.
-	scratch := make([]float64, n)
-
-	phaseA := func(active []uint32, baseA, perSinkA float64) float64 {
-		par.ForRange(len(active), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				v := active[k]
-				s, e := b.Rev.EdgeRange(v)
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := b.Rev.Targets[i]
-					acc += prop[src] * invOut[src]
-				}
-				if perSinkA != 0 && invOut[v] == 0 && b.Fwd.Degree(v) == 0 {
-					// SinkToOthers: a sink does not credit itself.
-					acc -= prop[v] * perSinkA
-				}
-				nv := sigma*id[v] + blend*acc
-				scratch[v] = nv - id[v]
-				id[v] = nv
+		for _, set := range fr.cur {
+			set.mark(d)
+			for _, u := range b.Fwd.Neighbors(d) {
+				set.mark(u)
 			}
-		})
-		var maxD float64
-		for _, v := range active {
-			if d := math.Abs(scratch[v]); d > maxD {
-				maxD = d
-			}
-		}
-		return maxD
-	}
-
-	phaseB := func(active []uint32, baseB, perSinkB float64) {
-		par.ForRange(len(active), workers, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				v := active[k]
-				s, e := b.Fwd.EdgeRange(v)
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := b.Fwd.Targets[i]
-					w := opt.UnpairedWeight
-					if b.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += id[dst] * w * invW[dst]
-				}
-				if perSinkB != 0 && invW[v] == 0 {
-					acc -= id[v] * perSinkB
-				}
-				nv := sigma*prop[v] + blend*acc
-				scratch[v] = nv - prop[v]
-				prop[v] = nv
-			}
-		})
-	}
-
-	// propagate re-activates the dependents of vertices that moved more
-	// than theta, and marks the rewritten vertices' sink blocks stale for
-	// the *other* phase's cached partial. dep lists the consumers of the
-	// written value: after phase A (id changed) that is Rev targets —
-	// the sources of edges into v, whose phase-B gathers read id[v] —
-	// and after phase B (prop changed) it is Fwd targets, whose phase-A
-	// gathers read prop[v]. The vertex itself is re-marked too: its own
-	// next-phase equation reads the written value through the sink
-	// self-exclusion terms, and cheap over-marking is always sound.
-	// Sequential by design: set marking is not race-safe.
-	propagate := func(active []uint32, dep *graph.CSR, next *vertSet, blks *blkSet) {
-		for _, v := range active {
-			blks.mark(int(v) / sinkBlock)
-			if math.Abs(scratch[v]) > theta {
-				next.mark(v)
-				s, e := dep.EdgeRange(v)
-				for i := s; i < e; i++ {
-					next.mark(dep.Targets[i])
-				}
+			for _, u := range b.Rev.Neighbors(d) {
+				set.mark(u)
 			}
 		}
 	}
-
-	var prevBaseA, prevBaseB float64
-	haveBase := false
-	full := false   // saturated: full sweeps for the rest of the run
-	verify := false // next iteration is the full verification sweep
-	for iter := 0; iter < opt.MaxIterations; iter++ {
-		if !full && (len(curA.list) > satCap || len(curB.list) > satCap) {
-			full = true
-			st.Saturated = true
-		}
-
-		// ---- Phase A (ID ranks) ------------------------------------
-		sinkA := refresh(partA, prop, invOut, dirtyA)
-		baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
-		// A shifted redistribution base moves *every* equation, not just
-		// the frontier's: when it shifts materially, sweep everyone once.
-		fullA := full || verify || (haveBase && math.Abs(baseA-prevBaseA) > theta)
-		prevBaseA = baseA
-		activeA := curA.list
-		if fullA {
-			activeA = allList()
-			st.FullSweeps++
-		} else if len(activeA) > st.MaxActive {
-			st.MaxActive = len(activeA)
-		}
-		maxDA := phaseA(activeA, baseA, perSinkA)
-		st.Touched += int64(len(activeA))
-		curA.clear()
-		propagate(activeA, b.Rev, curB, dirtyB)
-		if fullA {
-			dirtyB.all = true
-		}
-
-		// ---- Phase B (Prop ranks) ----------------------------------
-		sinkB := refresh(partB, id, invW, dirtyB)
-		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
-		fullB := full || verify || (haveBase && math.Abs(baseB-prevBaseB) > theta)
-		prevBaseB = baseB
-		activeB := curB.list
-		if fullB {
-			activeB = allList()
-			st.FullSweeps++
-		} else if len(activeB) > st.MaxActive {
-			st.MaxActive = len(activeB)
-		}
-		phaseB(activeB, baseB, perSinkB)
-		st.Touched += int64(len(activeB))
-		curB.clear()
-		propagate(activeB, b.Fwd, curA, dirtyA)
-		if fullB {
-			dirtyA.all = true
-		}
-		haveBase = true
-
-		// ---- Convergence (cold criterion on phase-A diff) ----------
-		diff := maxDA / blend
-		res.Diffs = append(res.Diffs, diff)
-		if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-			res.Trace = append(res.Trace, IterStats{
-				MaxDelta:     diff,
-				SinkMassID:   sinkA,
-				SinkMassProp: sinkB,
-			})
-		}
-		res.Iterations = iter + 1
-		if opt.OnIteration != nil {
-			opt.OnIteration(res.Iterations, diff)
-		}
-		if diff < opt.Epsilon {
-			if fullA && fullB {
-				// This iteration WAS a cold iteration over the whole
-				// graph; the cold stopping criterion holds exactly.
-				res.Converged = true
-				break
-			}
-			// The frontier went quiet but vertices outside it were
-			// never checked: verify with one full iteration. If that
-			// sweep still moves somewhere, its propagation re-seeds
-			// the frontier and the loop continues incrementally.
-			verify = true
-		} else {
-			verify = false
-		}
-	}
+	res := iterate(b, opt, fr)
+	res.Frontier = &fr.st
 	return res
+}
+
+// saturate switches to full sweeps for the rest of the run once either
+// phase's frontier outgrows the saturation cap: past that point the
+// bookkeeping costs more than it skips.
+func (f *frontier) saturate() {
+	if !f.full && (len(f.cur[0].list) > f.satCap || len(f.cur[1].list) > f.satCap) {
+		f.full = true
+		f.st.Saturated = true
+	}
+}
+
+// rows returns the rows phase p recomputes this iteration: its frontier,
+// or nil (every row) when saturated, verifying, or when the phase's
+// redistribution base moved by more than theta — a shifted base moves
+// *every* equation, not just the frontier's.
+func (f *frontier) rows(p int, base float64) []uint32 {
+	shifted := f.haveBase && math.Abs(base-f.prevBase[p]) > f.theta
+	f.prevBase[p] = base
+	f.swept[p] = f.full || f.verify || shifted
+	if f.swept[p] {
+		f.st.FullSweeps++
+		f.st.Touched += int64(f.n)
+		return nil
+	}
+	rows := f.cur[p].list
+	f.st.MaxActive = max(f.st.MaxActive, len(rows))
+	f.st.Touched += int64(len(rows))
+	return rows
+}
+
+// advance retires phase p's rows after the sweep rewrote them. It marks
+// their sink blocks stale in the other phase's cache (stale), then
+// re-activates, in the other phase's frontier, the dependents of rows
+// that moved more than theta. dep lists the consumers of the written
+// value: after phase A (id changed) that is Rev targets — the sources
+// of edges into v, whose phase-B gathers read id[v] — and after phase B
+// (prop changed) it is Fwd targets, whose phase-A gathers read prop[v].
+// The vertex itself is re-marked too: its own next-phase equation reads
+// the written value through the sink self-exclusion terms, and cheap
+// over-marking is always sound. Sequential by design: set marking is
+// not race-safe.
+func (f *frontier) advance(p int, rows []uint32, dep *graph.CSR, stale *sinkCache) {
+	if rows == nil {
+		stale.all = true
+	}
+	if f.full {
+		return
+	}
+	f.cur[p].clear()
+	next := f.cur[1-p]
+	activate := func(v uint32) {
+		stale.touch(v)
+		if math.Abs(f.delta[v]) > f.theta {
+			next.mark(v)
+			for _, u := range dep.Neighbors(v) {
+				next.mark(u)
+			}
+		}
+	}
+	if rows == nil {
+		for v := 0; v < f.n; v++ {
+			activate(uint32(v))
+		}
+		return
+	}
+	for _, v := range rows {
+		activate(v)
+	}
+}
+
+// settle reports whether the iteration just finished ends the run: it
+// was quiet (diff below Epsilon) and both phases swept every row, so the
+// cold stopping criterion holds exactly. When the frontier went quiet
+// but vertices outside it were never checked, the next iteration is a
+// full verification sweep; if that sweep still moves somewhere, its
+// propagation re-seeds the frontier and the loop continues
+// incrementally.
+func (f *frontier) settle(quiet bool) bool {
+	if quiet && f.swept[0] && f.swept[1] {
+		return true
+	}
+	f.verify = quiet
+	f.haveBase = true
+	return false
 }

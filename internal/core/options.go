@@ -199,6 +199,17 @@ func (o Options) traceCap() int {
 	return o.TraceCap
 }
 
+// unsmoothed puts a phase-A max |Δ id| on the scale Epsilon is compared
+// against. The smoothing blend scales every step by (1-σ); dividing it
+// back out keeps Epsilon comparable to the paper's unsmoothed criterion
+// regardless of σ.
+func (o Options) unsmoothed(maxD float64) float64 {
+	if blend := 1 - o.Smoothing; blend > 0 {
+		return maxD / blend
+	}
+	return maxD
+}
+
 func (o Options) workers() int {
 	if o.Workers <= 0 {
 		return par.DefaultWorkers()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"faultyrank/internal/graph"
 	"faultyrank/internal/par"
 )
@@ -25,8 +23,8 @@ type Result struct {
 	// entries (DefaultTraceCap when unset). Values are worker-count
 	// insensitive up to float summation order, like the ranks themselves.
 	Trace []IterStats
-	// Frontier records what the incremental kernel touched; nil for full
-	// Run sweeps (including RunIncremental calls that delegated to Run).
+	// Frontier records what RunIncremental touched; nil for Run, for
+	// RunPartitioned, and for RunIncremental calls without warm state.
 	Frontier *FrontierStats
 }
 
@@ -59,136 +57,71 @@ func normalized(xs []float64) []float64 {
 	return out
 }
 
-// Run executes the FaultyRank iterative algorithm (paper Alg. 1) on a
-// bidirected metadata graph.
-//
-// Each iteration has two phases:
-//
-//	Phase A (ID ranks, over G):   id'[u]   = Σ_{v→u∈G} prop[v]/outdeg(v)
-//	Phase B (Prop ranks, over Gᵣ): prop'[u] = Σ_{u→v∈G} id'[v]·w(u→v)/W(v)
-//
-// where w is 1 for paired edges and Options.UnpairedWeight for unpaired
-// ones, and W(v) is the total weight of v's reversed-graph out-edges
-// (§III-D's weighted distribution). Both phases are pull-style gathers
-// over CSR adjacency — race-free and deterministic under parallelism.
-// Sink mass is redistributed according to Options.SinkPolicy.
-func Run(b *graph.Bidirected, opt Options) *Result {
-	n := b.N()
-	res := &Result{
-		IDRank:   make([]float64, n),
-		PropRank: make([]float64, n),
+// record appends one finished iteration to the convergence series:
+// diff on the unsmoothed Epsilon scale (Options.unsmoothed), massA and
+// massB the sink masses phases A and B redistributed. It then reports
+// the iteration to Options.OnIteration.
+func (r *Result) record(opt Options, diff, massA, massB float64) {
+	r.Diffs = append(r.Diffs, diff)
+	if opt.ConvergenceTrace && len(r.Trace) < opt.traceCap() {
+		r.Trace = append(r.Trace, IterStats{
+			MaxDelta:     diff,
+			SinkMassID:   massA,
+			SinkMassProp: massB,
+		})
 	}
+	r.Iterations++
+	if opt.OnIteration != nil {
+		opt.OnIteration(r.Iterations, diff)
+	}
+}
+
+// Run executes the FaultyRank iterative algorithm (paper Alg. 1) on a
+// bidirected metadata graph. Each iteration runs the sweeper's phase A
+// (ID ranks, over G) and phase B (Prop ranks, over Gᵣ) over every
+// vertex (see sweeper for the equations); iteration stops when the
+// max-abs ID-rank change falls below Epsilon. Sink mass is
+// redistributed according to Options.SinkPolicy. Run is the always-full
+// case of RunIncremental's frontier loop.
+func Run(b *graph.Bidirected, opt Options) *Result {
+	return iterate(b, opt, &frontier{full: true})
+}
+
+// iterate is the single-process iteration loop behind Run and
+// RunIncremental; fr picks the rows each phase recomputes.
+func iterate(b *graph.Bidirected, opt Options, fr *frontier) *Result {
+	n := b.N()
+	res := &Result{}
+	res.IDRank, res.PropRank = seedRanks(n, opt)
 	if n == 0 {
 		res.Converged = true
 		return res
 	}
 	workers := opt.workers()
-
-	// Initial ranks: 1.0 per vertex (paper §III-C), unless the caller
-	// seeds from a previous result (Options.InitialID/InitialProp — the
-	// online warm start). A seed of the wrong length is ignored: the
-	// graph changed shape and positional ranks would be meaningless.
-	// Seeds are rescaled to total mass N — the invariant the uniform
-	// start establishes and the iteration conserves. A warm seed
-	// assembled from a *different* graph's ranks (vertices added or
-	// removed since) carries the wrong total, and an off-mass seed
-	// converges to an off-mass scale while the slow mass-redistribution
-	// modes crawl; rescaling puts the seed back on the manifold the
-	// cold start iterates on.
-	if len(opt.InitialID) == n {
-		copy(res.IDRank, opt.InitialID)
-		rescaleMass(res.IDRank)
-	} else {
-		for i := 0; i < n; i++ {
-			res.IDRank[i] = 1
-		}
-	}
-	if len(opt.InitialProp) == n {
-		copy(res.PropRank, opt.InitialProp)
-		rescaleMass(res.PropRank)
-	} else {
-		for i := 0; i < n; i++ {
-			res.PropRank[i] = 1
-		}
-	}
-
-	invOut, invW := rankDivisors(b, opt, workers)
-
-	newID := make([]float64, n)
-	newProp := make([]float64, n)
-	sigma := opt.Smoothing
-	blend := 1 - sigma
+	sw := graphSweeper(b, opt)
+	id, prop := res.IDRank, res.PropRank
+	// sinksA sums prop over phase-A sinks; sinksB sums id over phase-B
+	// sinks. A phase marks the blocks it rewrote stale in the other's.
+	sinksA, sinksB := newSinkCache(sw.invOut), newSinkCache(sw.invW)
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
-		// ---- Phase A: gather property mass along forward edges ------
-		// (pull form: iterate u's in-neighbours via the reversed CSR).
-		sinkA := sinkMass(res.PropRank, invOut, workers)
-		baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
-		par.ForRange(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				u := uint32(v)
-				s, e := b.Rev.EdgeRange(u)
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := b.Rev.Targets[i]
-					acc += res.PropRank[src] * invOut[src]
-				}
-				if perSinkA != 0 && invOut[v] == 0 && b.Fwd.Degree(u) == 0 {
-					// SinkToOthers: a sink does not credit itself.
-					acc -= res.PropRank[v] * perSinkA
-				}
-				newID[v] = sigma*res.IDRank[v] + blend*acc
-			}
-		})
+		fr.saturate()
 
-		// ---- Phase B: gather ID mass along reversed edges -----------
-		// (pull form: u's in-neighbours in Gᵣ are its out-neighbours in
-		// G; the edge weight depends on whether u→v is paired).
-		sinkB := sinkMass(newID, invW, workers)
-		baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
-		par.ForRange(n, workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				u := uint32(v)
-				s, e := b.Fwd.EdgeRange(u)
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := b.Fwd.Targets[i]
-					w := opt.UnpairedWeight
-					if b.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += newID[dst] * w * invW[dst]
-				}
-				if perSinkB != 0 && invW[v] == 0 {
-					acc -= newID[v] * perSinkB
-				}
-				newProp[v] = sigma*res.PropRank[v] + blend*acc
-			}
-		})
+		massA := sinksA.sum(prop, workers)
+		baseA, perSinkA := sinkShares(massA, n, opt.SinkPolicy)
+		rows := fr.rows(0, baseA)
+		maxD := sw.phaseA(id, prop, rows, baseA, perSinkA, fr.delta)
+		fr.advance(0, rows, b.Rev, sinksB)
 
-		// ---- Convergence: max |Δ id_rank| ---------------------------
-		// The smoothing blend scales every step by (1-σ); dividing it
-		// back out keeps Epsilon comparable to the paper's unsmoothed
-		// criterion regardless of σ.
-		diff := maxAbsDiff(res.IDRank, newID, workers)
-		if blend > 0 {
-			diff /= blend
-		}
-		res.Diffs = append(res.Diffs, diff)
-		if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-			res.Trace = append(res.Trace, IterStats{
-				MaxDelta:     diff,
-				SinkMassID:   sinkA,
-				SinkMassProp: sinkB,
-			})
-		}
-		res.IDRank, newID = newID, res.IDRank
-		res.PropRank, newProp = newProp, res.PropRank
-		res.Iterations = iter + 1
-		if opt.OnIteration != nil {
-			opt.OnIteration(res.Iterations, diff)
-		}
-		if diff < opt.Epsilon {
+		massB := sinksB.sum(id, workers)
+		baseB, perSinkB := sinkShares(massB, n, opt.SinkPolicy)
+		rows = fr.rows(1, baseB)
+		sw.phaseB(id, prop, rows, baseB, perSinkB, fr.delta)
+		fr.advance(1, rows, b.Fwd, sinksA)
+
+		diff := opt.unsmoothed(maxD)
+		res.record(opt, diff, massA, massB)
+		if fr.settle(diff < opt.Epsilon) {
 			res.Converged = true
 			break
 		}
@@ -196,36 +129,27 @@ func Run(b *graph.Bidirected, opt Options) *Result {
 	return res
 }
 
-// rankDivisors computes the two per-vertex inverse divisors the phase
-// gathers multiply by:
-//
-//	invOut[v] = 1/outdeg_G(v), 0 for sinks: phase A divisor.
-//	invW[v]   = 1/W(v) with W(v) = paired_in(v) + w·unpaired_in(v),
-//	            0 when v has no in-edges (a reversed-graph sink).
-func rankDivisors(b *graph.Bidirected, opt Options, workers int) (invOut, invW []float64) {
-	n := b.N()
-	invOut = make([]float64, n)
-	invW = make([]float64, n)
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if d := b.Fwd.Degree(uint32(v)); d > 0 {
-				invOut[v] = 1 / float64(d)
-			}
-			if opt.LeakyDistribution {
-				// Ablation: divide by the raw in-degree; unpaired
-				// edges leak (1 - UnpairedWeight) of their share.
-				if d := b.PairedIn[v] + b.UnpairedIn[v]; d > 0 {
-					invW[v] = 1 / float64(d)
-				}
-			} else {
-				w := float64(b.PairedIn[v]) + opt.UnpairedWeight*float64(b.UnpairedIn[v])
-				if w > 0 {
-					invW[v] = 1 / w
-				}
-			}
+// seedRanks returns the initial rank vectors: 1.0 per vertex (paper
+// §III-C), or the caller's warm seed (Options.InitialID/InitialProp)
+// when its length is n — a stale length means the graph changed shape.
+// Seeds are rescaled to total mass N, the invariant the uniform start
+// establishes and the iteration conserves: a seed assembled from a
+// different graph's ranks carries the wrong total, and would converge
+// to an off-mass scale while the slow mass-redistribution modes crawl.
+func seedRanks(n int, opt Options) (id, prop []float64) {
+	seed := func(warm []float64) []float64 {
+		out := make([]float64, n)
+		if len(warm) == n {
+			copy(out, warm)
+			rescaleMass(out)
+			return out
 		}
-	})
-	return invOut, invW
+		for i := range out {
+			out[i] = 1
+		}
+		return out
+	}
+	return seed(opt.InitialID), seed(opt.InitialProp)
 }
 
 // rescaleMass scales xs so it sums to len(xs), the mass-N scale of the
@@ -258,34 +182,8 @@ func rescaleMass(xs []float64) {
 // (superstep.go) reproduce the single-process ranks bit for bit.
 const sinkBlock = 1 << 12
 
-// sinkMass sums rank[v] over vertices whose inverse divisor is zero,
-// i.e. the sinks of the graph orientation the divisor belongs to. The
-// blocks are independent, so they compute in parallel; the fold order
-// is canonical (see sinkBlock).
-func sinkMass(rank, invDiv []float64, workers int) float64 {
-	n := len(rank)
-	if n == 0 {
-		return 0
-	}
-	nb := (n + sinkBlock - 1) / sinkBlock
-	partial := make([]float64, nb)
-	par.ForRange(nb, workers, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			partial[blk] = sinkBlockSum(rank, invDiv, blk)
-		}
-	})
-	var sum float64
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
-}
-
 // sinkBlockSum is one block's partial of the canonical sink-mass sum:
-// sequential, ascending vertex order within the block. The incremental
-// kernel caches these per block and recomputes only blocks containing
-// touched vertices — a whole-block sequential recompute is bit-identical
-// to the cold kernel's partial, so the canonical fold is preserved.
+// sequential, ascending vertex order within the block.
 func sinkBlockSum(rank, invDiv []float64, blk int) float64 {
 	s := blk * sinkBlock
 	e := min(s+sinkBlock, len(rank))
@@ -296,6 +194,58 @@ func sinkBlockSum(rank, invDiv []float64, blk int) float64 {
 		}
 	}
 	return acc
+}
+
+// sinkCache holds one phase's canonical sink-mass partials, one per
+// sinkBlock, and the blocks whose partial went stale since the last sum.
+// Recomputing a whole stale block sequentially is bit-identical to a
+// fresh partial, so a frontier that rewrote a few vertices pays for a
+// few blocks while the fold stays canonical.
+type sinkCache struct {
+	invDiv []float64 // a zero divisor marks a sink
+	part   []float64
+	stale  *vertSet // blocks whose partial is out of date
+	all    bool     // every block is out of date
+}
+
+// newSinkCache starts with every block stale.
+func newSinkCache(invDiv []float64) *sinkCache {
+	nb := (len(invDiv) + sinkBlock - 1) / sinkBlock
+	return &sinkCache{invDiv: invDiv, part: make([]float64, nb), stale: newVertSet(nb), all: true}
+}
+
+// touch marks the block of a rewritten vertex stale.
+func (c *sinkCache) touch(v uint32) {
+	if !c.all {
+		c.stale.mark(v / sinkBlock)
+	}
+}
+
+// sum refreshes the stale partials from rank, in parallel, and folds all
+// partials in ascending block order. With every block stale it is the
+// full canonical sum.
+func (c *sinkCache) sum(rank []float64, workers int) float64 {
+	if c.all {
+		par.ForRange(len(c.part), workers, func(lo, hi int) {
+			for blk := lo; blk < hi; blk++ {
+				c.part[blk] = sinkBlockSum(rank, c.invDiv, blk)
+			}
+		})
+	} else {
+		blks := c.stale.list
+		par.ForRange(len(blks), workers, func(lo, hi int) {
+			for _, blk := range blks[lo:hi] {
+				c.part[blk] = sinkBlockSum(rank, c.invDiv, int(blk))
+			}
+		})
+	}
+	c.stale.clear()
+	c.all = false
+	var sum float64
+	for _, p := range c.part {
+		sum += p
+	}
+	return sum
 }
 
 // sinkShares converts total sink mass into the per-vertex additive base
@@ -316,10 +266,4 @@ func sinkShares(mass float64, n int, policy SinkPolicy) (base, perSink float64) 
 		per := 1 / float64(n-1)
 		return mass * per, per
 	}
-}
-
-func maxAbsDiff(a, b []float64, workers int) float64 {
-	return par.MapReduceMaxFloat64(len(a), workers, func(i int) float64 {
-		return math.Abs(a[i] - b[i])
-	})
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"faultyrank/internal/graph"
-	"faultyrank/internal/par"
 )
 
 // Partitioned rank execution. Run's two-phase sweep decomposes into a
@@ -27,8 +25,9 @@ import (
 //
 // The protocol is framed by Init (seed scatter) and Done (rank gather).
 //
-// The decomposition is exact, not approximate: every float operation of
-// the single-process kernel happens in the same order with the same
+// The decomposition is exact, not approximate: workers run Run's
+// sweeper over their SubGraph rows, so every float operation of the
+// single-process kernel happens in the same order with the same
 // operands. The per-vertex gathers preserve global CSR row order
 // (graph.SubGraph's construction invariant); the only cross-partition
 // reductions are the sink-mass sums, whose canonical fixed-block order
@@ -132,35 +131,13 @@ type PartError struct {
 func (e *PartError) Error() string { return fmt.Sprintf("rank partition %d: %v", e.Part, e.Err) }
 func (e *PartError) Unwrap() error { return e.Err }
 
-// phaseASinkCol reports whether a column is a phase-A sink (no forward
-// out-edges; invOut would be 0). Must stay equivalent to the invOut
-// construction in both Run and NewPartState.
-func phaseASinkCol(sub *graph.SubGraph, col int) bool { return sub.OutDeg[col] <= 0 }
-
-// phaseBSinkCol reports whether a column is a phase-B sink (zero
-// reversed-distribution weight; invW would be 0), using the exact float
-// expression of the invW construction.
-func phaseBSinkCol(sub *graph.SubGraph, opt Options, col int) bool {
-	if opt.LeakyDistribution {
-		return sub.PairedIn[col]+sub.UnpairedIn[col] <= 0
-	}
-	w := float64(sub.PairedIn[col]) + opt.UnpairedWeight*float64(sub.UnpairedIn[col])
-	return !(w > 0)
-}
-
-// PartState is one rank worker's mutable state: the divisor vectors and
-// the double-buffered column-sized rank arrays (locals in [0, NLocal),
-// ghosts above).
+// PartState is one rank worker's mutable state: the sweeper over its
+// SubGraph rows and the column-sized rank arrays (locals in
+// [0, NLocal), ghosts above).
 type PartState struct {
 	Sub *graph.SubGraph
 
-	opt     Options
-	workers int
-	sigma   float64
-	blend   float64
-
-	invOut []float64 // per column: 1/outdeg, 0 for sinks
-	invW   []float64 // per column: 1/W(v), 0 for reversed-graph sinks
+	sw *sweeper
 
 	// sinkALoc/sinkBLoc list the local indices that are phase A/B
 	// sinks, ascending; their values feed the coordinator's canonical
@@ -168,52 +145,23 @@ type PartState struct {
 	sinkALoc []uint32
 	sinkBLoc []uint32
 
-	idCur, idNext     []float64
-	propCur, propNext []float64
+	id, prop []float64
 }
 
 // NewPartState prepares a worker for RunPartition. opt.Workers bounds
-// this partition's sweep parallelism (the checker divides its worker
-// budget across partitions).
+// this partition's sweep parallelism (see PartOptions).
 func NewPartState(sub *graph.SubGraph, opt Options) *PartState {
-	nCols := sub.NCols()
 	st := &PartState{
-		Sub:      sub,
-		opt:      opt,
-		workers:  opt.workers(),
-		sigma:    opt.Smoothing,
-		blend:    1 - opt.Smoothing,
-		invOut:   make([]float64, nCols),
-		invW:     make([]float64, nCols),
-		idCur:    make([]float64, nCols),
-		idNext:   make([]float64, nCols),
-		propCur:  make([]float64, nCols),
-		propNext: make([]float64, nCols),
+		Sub:  sub,
+		sw:   subSweeper(sub, opt),
+		id:   make([]float64, sub.NCols()),
+		prop: make([]float64, sub.NCols()),
 	}
-	// Same expressions as Run's divisor construction, fed from the
-	// replicated per-column metadata.
-	par.ForRange(nCols, st.workers, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			if d := sub.OutDeg[c]; d > 0 {
-				st.invOut[c] = 1 / float64(d)
-			}
-			if opt.LeakyDistribution {
-				if d := sub.PairedIn[c] + sub.UnpairedIn[c]; d > 0 {
-					st.invW[c] = 1 / float64(d)
-				}
-			} else {
-				w := float64(sub.PairedIn[c]) + opt.UnpairedWeight*float64(sub.UnpairedIn[c])
-				if w > 0 {
-					st.invW[c] = 1 / w
-				}
-			}
-		}
-	})
 	for l := 0; l < sub.NLocal(); l++ {
-		if phaseASinkCol(sub, l) {
+		if st.sw.invOut[l] == 0 {
 			st.sinkALoc = append(st.sinkALoc, uint32(l))
 		}
-		if phaseBSinkCol(sub, opt, l) {
+		if st.sw.invW[l] == 0 {
 			st.sinkBLoc = append(st.sinkBLoc, uint32(l))
 		}
 	}
@@ -226,6 +174,37 @@ func gatherAt(dst []float64, src []float64, idx []uint32) []float64 {
 		dst = append(dst, src[i])
 	}
 	return dst
+}
+
+// sendUp ships one Up frame: the sink values and the boundary bundles of
+// vals (prop before phase A, id before phase B). Values are copied into
+// the reused frame (gathers are non-contiguous), so the rank arrays stay
+// private.
+func (st *PartState) sendUp(link Link, up *RankDelta, iter uint32, vals []float64, sinks []uint32) error {
+	up.Iter = iter
+	up.Sink = gatherAt(up.Sink, vals, sinks)
+	for q, sched := range st.Sub.SendTo {
+		up.Bound[q] = gatherAt(up.Bound[q], vals, sched)
+	}
+	return link.Send(up)
+}
+
+// recvDown waits for the coordinator's answer to an Up frame and loads
+// its ghost values into the ghost columns of vals.
+func (st *PartState) recvDown(link Link, kind uint8, iter uint32, vals []float64) (*RankDelta, error) {
+	sub := st.Sub
+	d, err := link.Recv()
+	if err != nil {
+		return nil, err
+	}
+	if d.Kind != kind || d.Iter != iter {
+		return nil, fmt.Errorf("rank worker %d: expected frame kind %d iter %d, got kind %d iter %d", sub.Part, kind, iter, d.Kind, d.Iter)
+	}
+	if len(d.Ghost) != len(sub.Ghosts) {
+		return nil, fmt.Errorf("rank worker %d: frame kind %d carries %d ghosts, want %d", sub.Part, kind, len(d.Ghost), len(sub.Ghosts))
+	}
+	copy(vals[sub.NLocal():], d.Ghost)
+	return d, nil
 }
 
 // RunPartition executes one worker's side of the superstep protocol
@@ -244,120 +223,41 @@ func RunPartition(st *PartState, link Link) error {
 	if len(init.ID) != nLocal || len(init.Prop) != nLocal {
 		return fmt.Errorf("rank worker %d: Init seed length %d/%d, want %d", sub.Part, len(init.ID), len(init.Prop), nLocal)
 	}
-	copy(st.idCur, init.ID)
-	copy(st.propCur, init.Prop)
+	copy(st.id, init.ID)
+	copy(st.prop, init.Prop)
 
-	done := func() error {
-		return link.Send(&RankDelta{
-			Kind: RankDone,
-			Part: uint32(sub.Part),
-			ID:   st.idCur[:nLocal],
-			Prop: st.propCur[:nLocal],
-		})
-	}
-	if init.Halt {
-		return done()
-	}
-
-	// Reused frame buffers: values are copied into the frames (gathers
-	// are non-contiguous), so the compute arrays stay private.
-	upA := &RankDelta{Kind: RankUpA, Part: uint32(sub.Part)}
-	upB := &RankDelta{Kind: RankUpB, Part: uint32(sub.Part)}
-	for _, up := range []*RankDelta{upA, upB} {
-		up.Bound = make([][]float64, len(sub.SendTo))
-	}
-
-	for iter := uint32(0); ; iter++ {
+	upA := &RankDelta{Kind: RankUpA, Part: uint32(sub.Part), Bound: make([][]float64, len(sub.SendTo))}
+	upB := &RankDelta{Kind: RankUpB, Part: uint32(sub.Part), Bound: make([][]float64, len(sub.SendTo))}
+	for iter := uint32(0); !init.Halt; iter++ {
 		// ---- superstep A: ship sinks+boundary, recv shares+ghosts ---
-		upA.Iter = iter
-		upA.Sink = gatherAt(upA.Sink, st.propCur, st.sinkALoc)
-		for q, sched := range sub.SendTo {
-			upA.Bound[q] = gatherAt(upA.Bound[q], st.propCur, sched)
-		}
-		if err := link.Send(upA); err != nil {
+		if err := st.sendUp(link, upA, iter, st.prop, st.sinkALoc); err != nil {
 			return err
 		}
-		downA, err := link.Recv()
+		downA, err := st.recvDown(link, RankDownA, iter, st.prop)
 		if err != nil {
 			return err
 		}
-		if downA.Kind != RankDownA || downA.Iter != iter {
-			return fmt.Errorf("rank worker %d: expected DownA iter %d, got kind %d iter %d", sub.Part, iter, downA.Kind, downA.Iter)
-		}
-		if len(downA.Ghost) != len(sub.Ghosts) {
-			return fmt.Errorf("rank worker %d: DownA ghost count %d, want %d", sub.Part, len(downA.Ghost), len(sub.Ghosts))
-		}
-		copy(st.propCur[nLocal:], downA.Ghost)
-
-		// ---- phase A: gather property mass along forward edges ------
-		baseA, perSinkA := downA.Base, downA.PerSink
-		par.ForRange(nLocal, st.workers, func(lo, hi int) {
-			for l := lo; l < hi; l++ {
-				s, e := sub.RevOff[l], sub.RevOff[l+1]
-				acc := baseA
-				for i := s; i < e; i++ {
-					src := sub.RevCol[i]
-					acc += st.propCur[src] * st.invOut[src]
-				}
-				if perSinkA != 0 && st.invOut[l] == 0 && sub.OutDeg[l] == 0 {
-					acc -= st.propCur[l] * perSinkA
-				}
-				st.idNext[l] = st.sigma*st.idCur[l] + st.blend*acc
-			}
-		})
-		localDiff := par.MapReduceMaxFloat64(nLocal, st.workers, func(l int) float64 {
-			return math.Abs(st.idCur[l] - st.idNext[l])
-		})
+		upB.Diff = st.sw.phaseA(st.id, st.prop, nil, downA.Base, downA.PerSink, nil)
 
 		// ---- superstep B ---------------------------------------------
-		upB.Iter = iter
-		upB.Diff = localDiff
-		upB.Sink = gatherAt(upB.Sink, st.idNext, st.sinkBLoc)
-		for q, sched := range sub.SendTo {
-			upB.Bound[q] = gatherAt(upB.Bound[q], st.idNext, sched)
-		}
-		if err := link.Send(upB); err != nil {
+		if err := st.sendUp(link, upB, iter, st.id, st.sinkBLoc); err != nil {
 			return err
 		}
-		downB, err := link.Recv()
+		downB, err := st.recvDown(link, RankDownB, iter, st.id)
 		if err != nil {
 			return err
 		}
-		if downB.Kind != RankDownB || downB.Iter != iter {
-			return fmt.Errorf("rank worker %d: expected DownB iter %d, got kind %d iter %d", sub.Part, iter, downB.Kind, downB.Iter)
-		}
-		if len(downB.Ghost) != len(sub.Ghosts) {
-			return fmt.Errorf("rank worker %d: DownB ghost count %d, want %d", sub.Part, len(downB.Ghost), len(sub.Ghosts))
-		}
-		copy(st.idNext[nLocal:], downB.Ghost)
-
-		// ---- phase B: gather ID mass along reversed edges -----------
-		baseB, perSinkB := downB.Base, downB.PerSink
-		par.ForRange(nLocal, st.workers, func(lo, hi int) {
-			for l := lo; l < hi; l++ {
-				s, e := sub.FwdOff[l], sub.FwdOff[l+1]
-				acc := baseB
-				for i := s; i < e; i++ {
-					dst := sub.FwdCol[i]
-					w := st.opt.UnpairedWeight
-					if sub.FwdPaired[i] == 1 {
-						w = 1
-					}
-					acc += st.idNext[dst] * w * st.invW[dst]
-				}
-				if perSinkB != 0 && st.invW[l] == 0 {
-					acc -= st.idNext[l] * perSinkB
-				}
-				st.propNext[l] = st.sigma*st.propCur[l] + st.blend*acc
-			}
-		})
-
-		st.idCur, st.idNext = st.idNext, st.idCur
-		st.propCur, st.propNext = st.propNext, st.propCur
+		st.sw.phaseB(st.id, st.prop, nil, downB.Base, downB.PerSink, nil)
 		if downB.Halt {
-			return done()
+			break
 		}
 	}
+	return link.Send(&RankDelta{
+		Kind: RankDone,
+		Part: uint32(sub.Part),
+		ID:   st.id[:nLocal],
+		Prop: st.prop[:nLocal],
+	})
 }
 
 // SuperstepStats is one iteration's exchange record.
@@ -402,31 +302,36 @@ type sinkRef struct {
 	part uint16
 }
 
-func buildSinkRefs(plan *graph.Plan, pick func(sub *graph.SubGraph, l int) bool) []sinkRef {
-	var refs []sinkRef
+// buildSinkRefs lists every partition's phase A and phase B sinks in
+// global-ascending order, classified by the same divisors the workers'
+// sweepers use.
+func buildSinkRefs(plan *graph.Plan, opt Options) (refsA, refsB []sinkRef) {
 	for p, sub := range plan.Parts {
 		for l := 0; l < sub.NLocal(); l++ {
-			if pick(sub, l) {
-				refs = append(refs, sinkRef{gid: sub.Local[l], part: uint16(p)})
+			invOut, invW := divisors(int(sub.OutDeg[l]), int(sub.PairedIn[l]), int(sub.UnpairedIn[l]), opt)
+			ref := sinkRef{gid: sub.Local[l], part: uint16(p)}
+			if invOut == 0 {
+				refsA = append(refsA, ref)
+			}
+			if invW == 0 {
+				refsB = append(refsB, ref)
 			}
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].gid < refs[j].gid })
-	return refs
+	for _, refs := range [][]sinkRef{refsA, refsB} {
+		sort.Slice(refs, func(i, j int) bool { return refs[i].gid < refs[j].gid })
+	}
+	return refsA, refsB
 }
 
-// foldSinks reproduces sinkMass's canonical blocked sum from the raw
+// foldSinks reproduces sinkCache's canonical blocked sum from the raw
 // sink values the partitions shipped: terms land in their fixed
 // 4096-wide block in ascending-gid order, and the block partials fold
 // in ascending block order — the exact term sequence of the
 // single-process reduction.
 func foldSinks(refs []sinkRef, ups []*RankDelta, partial []float64, cursors []int) float64 {
-	for i := range partial {
-		partial[i] = 0
-	}
-	for i := range cursors {
-		cursors[i] = 0
-	}
+	clear(partial)
+	clear(cursors)
 	for _, r := range refs {
 		partial[int(r.gid)/sinkBlock] += ups[r.part].Sink[cursors[r.part]]
 		cursors[r.part]++
@@ -498,181 +403,70 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 		PropRank: make([]float64, n),
 	}
 	rep := &ExchangeReport{K: plan.K}
-	for _, sub := range plan.Parts {
-		rep.Partitions = append(rep.Partitions, PartSummary{
-			Part:     sub.Part,
-			Locals:   sub.NLocal(),
-			Ghosts:   len(sub.Ghosts),
-			CutEdges: sub.CutEdges,
-		})
-	}
-
-	// Initial ranks: exactly Run's seeding (uniform 1.0, or the warm
-	// seed rescaled by the same sequential rescaleMass).
-	id0 := make([]float64, n)
-	prop0 := make([]float64, n)
-	if len(opt.InitialID) == n && n > 0 {
-		copy(id0, opt.InitialID)
-		rescaleMass(id0)
-	} else {
-		for i := range id0 {
-			id0[i] = 1
-		}
-	}
-	if len(opt.InitialProp) == n && n > 0 {
-		copy(prop0, opt.InitialProp)
-		rescaleMass(prop0)
-	} else {
-		for i := range prop0 {
-			prop0[i] = 1
-		}
-	}
-
-	scatter := func(global []float64, sub *graph.SubGraph) []float64 {
-		out := make([]float64, sub.NLocal())
-		for l, g := range sub.Local {
-			out[l] = global[g]
-		}
-		return out
-	}
-
+	// Initial ranks: exactly Run's seeding, scattered to the owners.
+	id0, prop0 := seedRanks(n, opt)
 	haltNow := n == 0 || opt.MaxIterations <= 0
 	inits := make([]*RankDelta, plan.K)
 	for p, sub := range plan.Parts {
-		inits[p] = &RankDelta{
-			Kind: RankInit,
-			Part: uint32(p),
-			Halt: haltNow,
-			ID:   scatter(id0, sub),
-			Prop: scatter(prop0, sub),
+		rep.Partitions = append(rep.Partitions, PartSummary{Part: sub.Part, Locals: sub.NLocal(), Ghosts: len(sub.Ghosts), CutEdges: sub.CutEdges})
+		init := &RankDelta{Kind: RankInit, Part: uint32(p), Halt: haltNow}
+		for _, g := range sub.Local {
+			init.ID = append(init.ID, id0[g])
+			init.Prop = append(init.Prop, prop0[g])
 		}
-		rep.DownBytes += int64(inits[p].WireSize())
+		inits[p] = init
+		rep.DownBytes += int64(init.WireSize())
 	}
 	if err := sendAll(links, inits); err != nil {
 		return nil, rep, err
 	}
 
-	refsA := buildSinkRefs(plan, phaseASinkCol)
-	refsB := buildSinkRefs(plan, func(sub *graph.SubGraph, l int) bool {
-		return phaseBSinkCol(sub, opt, l)
-	})
-	nb := (n + sinkBlock - 1) / sinkBlock
-	partial := make([]float64, nb)
-	cursors := make([]int, plan.K)
-	blend := 1 - opt.Smoothing
-
-	downs := make([]*RankDelta, plan.K)
+	refsA, refsB := buildSinkRefs(plan, opt)
+	c := &coordinator{
+		plan:    plan,
+		links:   links,
+		n:       n,
+		policy:  opt.SinkPolicy,
+		partial: make([]float64, (n+sinkBlock-1)/sinkBlock),
+		cursors: make([]int, plan.K),
+		downs:   make([]*RankDelta, plan.K),
+	}
 	for p, sub := range plan.Parts {
-		downs[p] = &RankDelta{Part: uint32(p), Ghost: make([]float64, len(sub.Ghosts))}
+		c.downs[p] = &RankDelta{Part: uint32(p), Ghost: make([]float64, len(sub.Ghosts))}
 	}
-	// routeGhosts fills each partition's ghost vector from the Bound
-	// bundles: partition q's ghosts ascend by global GID and so does
-	// every SendTo[·][q] schedule, so a per-owner cursor walk lines the
-	// two up exactly.
-	routeGhosts := func(ups []*RankDelta) {
-		for q, sub := range plan.Parts {
-			for i := range cursors {
-				cursors[i] = 0
-			}
-			out := downs[q].Ghost
-			for i, g := range sub.Ghosts {
-				o := plan.Owners[g]
-				out[i] = ups[o].Bound[q][cursors[o]]
-				cursors[o]++
-			}
+	for iter := uint32(0); !haltNow; iter++ {
+		c.up, c.down = 0, 0
+		sinkA, err := c.superstep(iter, RankUpA, RankDownA, refsA, nil)
+		if err != nil {
+			return nil, rep, err
 		}
-	}
-
-	if !haltNow {
-		for iter := uint32(0); ; iter++ {
-			var stepUp, stepDown int64
-
-			// ---- superstep A ----------------------------------------
-			ups, err := recvAll(links, RankUpA, iter)
-			if err != nil {
-				return nil, rep, err
-			}
-			if err := checkUps(plan, ups, refsA); err != nil {
-				return nil, rep, err
-			}
+		var diff float64
+		sinkB, err := c.superstep(iter, RankUpB, RankDownB, refsB, func(ups []*RankDelta) bool {
+			var maxD float64
 			for _, u := range ups {
-				stepUp += int64(u.WireSize())
-			}
-			sinkA := foldSinks(refsA, ups, partial, cursors)
-			baseA, perSinkA := sinkShares(sinkA, n, opt.SinkPolicy)
-			routeGhosts(ups)
-			for _, d := range downs {
-				d.Kind, d.Iter, d.Base, d.PerSink, d.Halt = RankDownA, iter, baseA, perSinkA, false
-				stepDown += int64(d.WireSize())
-			}
-			if err := sendAll(links, downs); err != nil {
-				return nil, rep, err
-			}
-
-			// ---- superstep B ----------------------------------------
-			ups, err = recvAll(links, RankUpB, iter)
-			if err != nil {
-				return nil, rep, err
-			}
-			if err := checkUps(plan, ups, refsB); err != nil {
-				return nil, rep, err
-			}
-			for _, u := range ups {
-				stepUp += int64(u.WireSize())
-			}
-			sinkB := foldSinks(refsB, ups, partial, cursors)
-			baseB, perSinkB := sinkShares(sinkB, n, opt.SinkPolicy)
-
-			var diff float64
-			for _, u := range ups {
-				if u.Diff > diff {
-					diff = u.Diff
+				if u.Diff > maxD {
+					maxD = u.Diff
 				}
 			}
-			if blend > 0 {
-				diff /= blend
-			}
-			res.Diffs = append(res.Diffs, diff)
-			if opt.ConvergenceTrace && len(res.Trace) < opt.traceCap() {
-				res.Trace = append(res.Trace, IterStats{
-					MaxDelta:     diff,
-					SinkMassID:   sinkA,
-					SinkMassProp: sinkB,
-				})
-			}
-			res.Iterations = int(iter) + 1
-			converged := diff < opt.Epsilon
-			last := res.Iterations >= opt.MaxIterations
-
-			routeGhosts(ups)
-			for _, d := range downs {
-				d.Kind, d.Iter, d.Base, d.PerSink, d.Halt = RankDownB, iter, baseB, perSinkB, converged || last
-				stepDown += int64(d.WireSize())
-			}
-			if err := sendAll(links, downs); err != nil {
-				return nil, rep, err
-			}
-
-			rep.Supersteps = append(rep.Supersteps, SuperstepStats{
-				Iter:         int(iter),
-				MaxDelta:     diff,
-				SinkMassID:   sinkA,
-				SinkMassProp: sinkB,
-				UpBytes:      stepUp,
-				DownBytes:    stepDown,
-			})
-			rep.UpBytes += stepUp
-			rep.DownBytes += stepDown
-			if opt.OnIteration != nil {
-				opt.OnIteration(res.Iterations, diff)
-			}
-			if converged {
-				res.Converged = true
-			}
-			if converged || last {
-				break
-			}
+			diff = opt.unsmoothed(maxD)
+			haltNow = diff < opt.Epsilon || int(iter)+1 >= opt.MaxIterations
+			return haltNow
+		})
+		if err != nil {
+			return nil, rep, err
 		}
+		rep.Supersteps = append(rep.Supersteps, SuperstepStats{
+			Iter:         int(iter),
+			MaxDelta:     diff,
+			SinkMassID:   sinkA,
+			SinkMassProp: sinkB,
+			UpBytes:      c.up,
+			DownBytes:    c.down,
+		})
+		rep.UpBytes += c.up
+		rep.DownBytes += c.down
+		res.record(opt, diff, sinkA, sinkB)
+		res.Converged = diff < opt.Epsilon
 	}
 
 	// ---- gather final ranks -----------------------------------------
@@ -695,6 +489,56 @@ func Coordinate(plan *graph.Plan, links []Link, opt Options) (*Result, *Exchange
 		res.Converged = true
 	}
 	return res, rep, nil
+}
+
+// coordinator is the exchange state of one Coordinate run.
+type coordinator struct {
+	plan    *graph.Plan
+	links   []Link
+	n       int
+	policy  SinkPolicy
+	partial []float64 // foldSinks block partials
+	cursors []int     // per-partition read cursors
+	downs   []*RankDelta
+	up      int64 // encoded Up bytes of the current iteration
+	down    int64 // encoded Down bytes of the current iteration
+}
+
+// superstep gathers every partition's Up frame of kind up, folds the
+// sink values at refs into the phase's sink mass, routes the boundary
+// values into each partition's ghosts, and answers with a Down frame of
+// kind down carrying the folded sink shares. halt, when set, decides
+// the Down frames' Halt flag from the Up frames. It returns the sink
+// mass.
+func (c *coordinator) superstep(iter uint32, up, down uint8, refs []sinkRef, halt func([]*RankDelta) bool) (float64, error) {
+	ups, err := recvAll(c.links, up, iter)
+	if err != nil {
+		return 0, err
+	}
+	if err := checkUps(c.plan, ups, refs); err != nil {
+		return 0, err
+	}
+	for _, u := range ups {
+		c.up += int64(u.WireSize())
+	}
+	mass := foldSinks(refs, ups, c.partial, c.cursors)
+	base, perSink := sinkShares(mass, c.n, c.policy)
+	stop := halt != nil && halt(ups)
+	// Partition q's ghosts ascend by global GID and so does every
+	// SendTo[·][q] schedule, so a per-owner cursor walk lines the two up
+	// exactly.
+	for q, sub := range c.plan.Parts {
+		clear(c.cursors)
+		d := c.downs[q]
+		for i, g := range sub.Ghosts {
+			o := c.plan.Owners[g]
+			d.Ghost[i] = ups[o].Bound[q][c.cursors[o]]
+			c.cursors[o]++
+		}
+		d.Kind, d.Iter, d.Base, d.PerSink, d.Halt = down, iter, base, perSink, stop
+		c.down += int64(d.WireSize())
+	}
+	return mass, sendAll(c.links, c.downs)
 }
 
 // checkUps validates the shape of one round of Up frames before the
@@ -781,37 +625,46 @@ func (l *LocalLink) Close() error {
 	return nil
 }
 
-// RunPartitioned executes a partitioned rank run entirely in-process:
-// one goroutine per partition worker, channel links, the calling
-// goroutine as coordinator. The per-partition sweep parallelism is
-// opt.Workers divided across partitions (minimum 1 each).
-func RunPartitioned(plan *graph.Plan, opt Options) (*Result, *ExchangeReport, error) {
-	wopt := opt
-	wopt.Workers = opt.workers() / plan.K
-	if wopt.Workers < 1 {
-		wopt.Workers = 1
-	}
+// PartOptions returns the options each of k partition workers runs
+// with: opt with its worker budget divided across the partitions
+// (minimum 1 each).
+func PartOptions(opt Options, k int) Options {
+	opt.Workers = max(opt.workers()/k, 1)
+	return opt
+}
 
+// RunPartitioned executes a partitioned rank run entirely in-process:
+// one goroutine per partition worker on a LinkPair, the calling
+// goroutine as coordinator. Each worker's state is built with
+// PartOptions(opt, plan.K). By default a worker runs RunPartition; a
+// caller that needs per-partition instrumentation or fault injection
+// passes worker, which must run st's side of the protocol over link.
+func RunPartitioned(plan *graph.Plan, opt Options, worker ...func(p int, st *PartState, link Link) error) (*Result, *ExchangeReport, error) {
+	run := func(_ int, st *PartState, link Link) error { return RunPartition(st, link) }
+	if len(worker) > 0 && worker[0] != nil {
+		run = worker[0]
+	}
+	wopt := PartOptions(opt, plan.K)
 	links := make([]Link, plan.K)
-	workers := make([]*LocalLink, plan.K)
+	ends := make([]*LocalLink, plan.K)
 	var wg sync.WaitGroup
-	for p := 0; p < plan.K; p++ {
-		coord, worker := LinkPair()
-		links[p], workers[p] = coord, worker
+	for p := range ends {
+		coord, end := LinkPair()
+		links[p], ends[p] = coord, end
 		st := NewPartState(plan.Parts[p], wopt)
 		wg.Add(1)
-		go func(st *PartState, link *LocalLink) {
+		go func() {
 			defer wg.Done()
 			// A worker error breaks the protocol; closing the pair turns
 			// the coordinator's next wait into a named PartError.
-			if err := RunPartition(st, link); err != nil {
-				link.Close()
+			if err := run(p, st, end); err != nil {
+				end.Close()
 			}
-		}(st, worker)
+		}()
 	}
 	res, rep, err := Coordinate(plan, links, opt)
-	for _, w := range workers {
-		w.Close()
+	for _, end := range ends {
+		end.Close()
 	}
 	wg.Wait()
 	return res, rep, err

@@ -198,11 +198,11 @@ func TestSinkMassWorkerIndependent(t *testing.T) {
 			invDiv[i] = rng.Float64()
 		}
 	}
-	want := sinkMass(rank, invDiv, 1)
+	want := newSinkCache(invDiv).sum(rank, 1)
 	for _, w := range []int{2, 3, 7, 16} {
-		got := sinkMass(rank, invDiv, w)
+		got := newSinkCache(invDiv).sum(rank, w)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("workers=%d: sinkMass %v != %v", w, got, want)
+			t.Fatalf("workers=%d: all-stale sink sum %v != %v", w, got, want)
 		}
 	}
 }

@@ -562,19 +562,16 @@ func (t *Tracker) Watch(ctx context.Context, opt WatchOptions) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for round := 1; opt.Rounds <= 0 || round <= opt.Rounds; round++ {
-		if round == 1 {
-			// Still honour a cancellation that predates the loop.
+		if round > 1 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
 			case <-ticker.C:
 			}
+		}
+		// Checked before every round, the first included: when a tick
+		// and a cancellation are both ready, select picks either.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		res, err := t.gatedCheck(ctx, opt)
 		if err != nil {

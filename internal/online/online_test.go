@@ -719,6 +719,11 @@ func TestWatchLoopWithLiveMutator(t *testing.T) {
 	if !reflect.DeepEqual(rounds, []int{1, 2, 3, 4, 5}) {
 		t.Fatalf("rounds observed: %v", rounds)
 	}
+	// The mutator may write between round 5 and close(stop); one
+	// settling round folds those writes in before the comparison.
+	if _, err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
 	assertSnapshotMatchesFullScan(t, tr, c)
 }
 
@@ -1058,5 +1063,33 @@ func TestWatchCancelMidRun(t *testing.T) {
 	}
 	if rounds != 2 {
 		t.Fatalf("watch ran %d rounds after mid-run cancel", rounds)
+	}
+}
+
+// TestWatchCancelBeatsReadyTick: a cancellation that lands while the
+// next tick is already waiting must end the watch before another round.
+// With a 1ns interval the tick is always ready when a round finishes,
+// so a loop that let select choose between the two would run a second
+// round in about half of these watches.
+func TestWatchCancelBeatsReadyTick(t *testing.T) {
+	c := newCluster(t)
+	tr := newTracker(t, c)
+	for i := 0; i < 16; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var rounds int
+		err := tr.Watch(ctx, WatchOptions{
+			Interval: time.Nanosecond,
+			OnRound: func(round int, res *CheckResult) {
+				rounds = round
+				cancel()
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("watch %d: want context.Canceled, got %v", i, err)
+		}
+		if rounds != 1 {
+			t.Fatalf("watch %d ran %d rounds after cancel", i, rounds)
+		}
 	}
 }

@@ -70,94 +70,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	})
 }
 
-// SumFloat64 computes the sum of xs in parallel. Each worker accumulates a
-// local sum over its contiguous chunk; partial sums are combined in chunk
-// order so the result is deterministic for a fixed worker count.
-func SumFloat64(xs []float64, workers int) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			partial[slot] = s
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
-// MapReduceFloat64 evaluates fn(i) for i in [0, n) and returns the sum of
-// the results, computed with the same deterministic chunking as SumFloat64.
-func MapReduceFloat64(n, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += fn(i)
-		}
-		return s
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partial := make([]float64, nChunks)
-	var wg sync.WaitGroup
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += fn(i)
-			}
-			partial[slot] = s
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
 // MapReduceMaxFloat64 evaluates fn(i) for i in [0, n) and returns the
 // maximum of the results, 0 when n <= 0 (callers reduce non-negative
 // magnitudes; an empty input has no deviation). Each worker keeps a

@@ -1,11 +1,8 @@
 package par
 
 import (
-	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForRangeCoversAll(t *testing.T) {
@@ -46,56 +43,6 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("sum = %d", sum)
 	}
 	ForEach(0, 4, func(int) { t.Fatal("called for empty range") })
-}
-
-func TestSumFloat64MatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		xs := make([]float64, r.Intn(5000))
-		for i := range xs {
-			xs[i] = r.Float64() - 0.5
-		}
-		var want float64
-		for _, x := range xs {
-			want += x
-		}
-		for _, w := range []int{1, 3, 16} {
-			if math.Abs(SumFloat64(xs, w)-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSumFloat64Deterministic(t *testing.T) {
-	xs := make([]float64, 10000)
-	r := rand.New(rand.NewSource(1))
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	a := SumFloat64(xs, 4)
-	for i := 0; i < 10; i++ {
-		if SumFloat64(xs, 4) != a {
-			t.Fatal("nondeterministic for fixed worker count")
-		}
-	}
-}
-
-func TestMapReduceFloat64(t *testing.T) {
-	got := MapReduceFloat64(100, 5, func(i int) float64 { return float64(i) })
-	if got != 4950 {
-		t.Fatalf("got %f", got)
-	}
-	if MapReduceFloat64(0, 5, func(int) float64 { return 1 }) != 0 {
-		t.Fatal("empty range nonzero")
-	}
-	if MapReduceFloat64(3, 1, func(i int) float64 { return 2 }) != 6 {
-		t.Fatal("sequential path wrong")
-	}
 }
 
 func TestExclusivePrefixSum64(t *testing.T) {

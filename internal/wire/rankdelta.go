@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"faultyrank/internal/core"
@@ -216,7 +217,12 @@ type RankExchange struct {
 	ln        net.Listener
 	opTimeout time.Duration
 	metrics   *Metrics
-	conns     []*RankConn
+
+	// mu guards conns and closed: AcceptWorkers adds links while its
+	// ctx-cancel goroutine may be running Close.
+	mu     sync.Mutex
+	closed bool
+	conns  []*RankConn
 }
 
 // NewRankExchange listens for rank workers on bind ("" defaults to
@@ -305,7 +311,10 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 		}
 		rc := NewRankConn(ctx, conn, x.opTimeout)
 		rc.Observe(x.metrics)
-		x.conns = append(x.conns, rc)
+		if !x.track(rc) {
+			rc.Close()
+			return nil, fmt.Errorf("wire: rank exchange accept (%d/%d workers): %w", accepted, spec.K, net.ErrClosed)
+		}
 		hello, err := rc.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("wire: rank hello: %w", err)
@@ -341,10 +350,27 @@ func (x *RankExchange) AcceptWorkers(ctx context.Context, spec WorkerSpec) ([]co
 	return links, nil
 }
 
+// track registers an accepted link for Close to release. It refuses
+// links accepted after Close, which the caller must close itself.
+func (x *RankExchange) track(rc *RankConn) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.closed {
+		return false
+	}
+	x.conns = append(x.conns, rc)
+	return true
+}
+
 // Close shuts the listener and every accepted link.
 func (x *RankExchange) Close() error {
+	x.mu.Lock()
+	x.closed = true
+	conns := x.conns
+	x.conns = nil
+	x.mu.Unlock()
 	err := x.ln.Close()
-	for _, c := range x.conns {
+	for _, c := range conns {
 		_ = c.Close()
 	}
 	return err

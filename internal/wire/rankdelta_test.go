@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -255,8 +256,8 @@ func TestRankExchangeRejectsHelloMismatch(t *testing.T) {
 		sum  uint64
 		spec WorkerSpec
 	}{
-		"wrong K":            {k: 4, sum: 7, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
-		"wrong fingerprint":  {k: 2, sum: 9, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
+		"wrong K":           {k: 4, sum: 7, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
+		"wrong fingerprint": {k: 2, sum: 9, spec: WorkerSpec{K: 2, Sums: []uint64{7, 7}}},
 		"no shard, no ship": {k: 0, sum: 0, spec: WorkerSpec{K: 2}},
 	}
 	for name, tc := range cases {
@@ -347,6 +348,76 @@ func TestRankShardShipping(t *testing.T) {
 		}
 		if sub, err := graph.DecodeSubGraph(j.blob); err != nil || sub.Part != j.p {
 			t.Fatalf("worker %d: shipped blob decode: %v", j.p, err)
+		}
+	}
+}
+
+// closingListener runs close after each successful Accept, before
+// handing the connection over: the ctx-cancel Close winning the race
+// against AcceptWorkers' bookkeeping.
+type closingListener struct {
+	net.Listener
+	close func()
+}
+
+func (l closingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.close()
+	}
+	return c, err
+}
+
+// TestRankExchangeCloseDuringAccept: Close running concurrently with
+// AcceptWorkers — the ctx-cancel path — must not race on the link list
+// (run under -race), and a link accepted after Close must be closed
+// rather than leaked.
+func TestRankExchangeCloseDuringAccept(t *testing.T) {
+	x, addr, err := NewRankExchange("", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.ln = closingListener{Listener: x.ln, close: func() { x.Close() }}
+	client, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := x.AcceptWorkers(context.Background(), WorkerSpec{K: 1}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("accept after Close: want net.ErrClosed, got %v", err)
+	}
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("link accepted after Close left open (read: %v)", err)
+	}
+
+	// Cancellation at varying points of a handshake whose workers
+	// connect but never say Hello.
+	for i := 0; i < 20; i++ {
+		x, addr, err := NewRankExchange("", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var conns []net.Conn
+		for p := 0; p < 2; p++ {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, c)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(time.Duration(i) * 50 * time.Microsecond)
+			cancel()
+		}()
+		if _, err := x.AcceptWorkers(ctx, WorkerSpec{K: 2}); err == nil {
+			t.Fatalf("round %d: handshake without Hello frames succeeded", i)
+		}
+		x.Close()
+		cancel()
+		for _, c := range conns {
+			c.Close()
 		}
 	}
 }
