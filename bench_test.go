@@ -463,6 +463,40 @@ func BenchmarkCSRBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		graph.BuildCSR(p.NumVertices(), edges, false, 0)
 	}
+	reportEdgesPerSec(b, len(edges))
+}
+
+// BenchmarkNewBidirected is the build stage of a rank-rmat check: both
+// CSR orientations plus pairing of an R-MAT-16 graph.
+func BenchmarkNewBidirected(b *testing.B) {
+	p := rmat.Graph500(16, 8, 13)
+	edges := rmat.Generate(p, 0)
+	b.ReportAllocs()
+	for b.Loop() {
+		graph.NewBidirectedUntyped(p.NumVertices(), edges, 0)
+	}
+	reportEdgesPerSec(b, len(edges))
+}
+
+// BenchmarkDetect is the detection stage of a rank-rmat check: every
+// unpaired relation of a ranked R-MAT-16 graph attributed to a root
+// cause.
+func BenchmarkDetect(b *testing.B) {
+	p := rmat.Graph500(16, 8, 13)
+	edges := rmat.Generate(p, 0)
+	g := graph.NewBidirectedUntyped(p.NumVertices(), edges, 0)
+	opt := core.DefaultOptions()
+	res := core.Run(g, opt)
+	b.ReportAllocs()
+	for b.Loop() {
+		core.Detect(g, res, nil, opt)
+	}
+	reportEdgesPerSec(b, len(edges))
+}
+
+// reportEdgesPerSec reports a per-layer throughput in edges/s.
+func reportEdgesPerSec(b *testing.B, edges int) {
+	b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
 func BenchmarkRMATGenerate(b *testing.B) {

@@ -1,9 +1,11 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"faultyrank/internal/graph"
+	"faultyrank/internal/par"
 )
 
 // Field identifies which of the two metadata fields of an object is
@@ -129,31 +131,65 @@ type candidate struct {
 // objects; phantom vertices (referenced-but-never-scanned FIDs) carry no
 // properties, so only their ID can be implicated and repairs on them are
 // deferred to the checker's phantom/orphan matching.
+//
+// The walk runs over Options.Workers contiguous vertex chunks. Each
+// chunk fills its own buffers in vertex order and the buffers are joined
+// in chunk order, so Ambiguous lists relations in source-vertex order and
+// the report does not depend on the worker count.
 func Detect(b *graph.Bidirected, res *Result, present []bool, opt Options) *Report {
 	n := b.N()
 	rep := &Report{}
+	if n == 0 {
+		return rep
+	}
+	workers := min(opt.workers(), n)
+	chunk := (n + workers - 1) / workers
+	parts := make([]detectChunk, (n+chunk-1)/chunk)
+	par.ForRange(n, workers, func(lo, hi int) {
+		parts[lo/chunk].walk(b, res, present, opt, lo, hi)
+	})
+
+	hits := make([][]suspectHit, len(parts))
+	repairs := make([][]Repair, len(parts))
+	ambiguous := make([][]Relation, len(parts))
+	for i, p := range parts {
+		rep.Checked += p.checked
+		hits[i], repairs[i], ambiguous[i] = p.hits, p.repairs, p.ambiguous
+	}
+	rep.Ambiguous = slices.Concat(ambiguous...)
+	rep.Suspects = suspects(hits, res, opt.workers())
+	rep.Repairs = sortRepairs(n, repairs, opt.workers())
+	return rep
+}
+
+// detectChunk is one worker's share of a Detect walk: the relations of
+// the source vertices in its chunk, in vertex order.
+type detectChunk struct {
+	checked   int
+	hits      []suspectHit
+	repairs   []Repair
+	ambiguous []Relation
+}
+
+// suspectHit records that one unpaired relation implicated field of
+// vertex, with peer at the relation's other end.
+type suspectHit struct {
+	vertex, peer uint32
+	field        Field
+}
+
+// walk attributes the unpaired outgoing relations of vertices [lo, hi);
+// incoming ones are attributed at their own source, so each relation is
+// handled exactly once.
+func (p *detectChunk) walk(b *graph.Bidirected, res *Result, present []bool, opt Options, lo, hi int) {
 	isPresent := func(v uint32) bool { return present == nil || present[v] }
 	slack := opt.attributionSlack()
-
-	suspectPeers := make(map[uint32]map[Field][]uint32)
-	addSuspect := func(v uint32, f Field, peer uint32) {
-		m, ok := suspectPeers[v]
-		if !ok {
-			m = make(map[Field][]uint32)
-			suspectPeers[v] = m
-		}
-		m[f] = append(m[f], peer)
-	}
-
-	for vi := 0; vi < n; vi++ {
+	for vi := lo; vi < hi; vi++ {
 		u := uint32(vi)
 		if !b.HasUnpairedEdge(u) {
 			continue
 		}
-		rep.Checked++
-		// Attribute u's unpaired *outgoing* relations; incoming ones are
-		// attributed at their own source, so each relation is handled
-		// exactly once.
+		p.checked++
 		s, e := b.Fwd.EdgeRange(u)
 		for i := s; i < e; i++ {
 			if b.FwdPaired[i] == 1 {
@@ -165,7 +201,8 @@ func Detect(b *graph.Bidirected, res *Result, present []bool, opt Options) *Repo
 				kind = b.Fwd.Kinds[i]
 			}
 
-			cands := make([]candidate, 0, 4)
+			var buf [4]candidate
+			cands := buf[:0]
 			if isPresent(v) {
 				cands = append(cands, candidate{v, FieldProperty, res.PropRank[v]})
 			}
@@ -176,62 +213,105 @@ func Detect(b *graph.Bidirected, res *Result, present []bool, opt Options) *Repo
 					candidate{u, FieldID, res.IDRank[u]})
 			}
 
-			min := cands[0]
+			low := cands[0]
 			for _, c := range cands[1:] {
-				if c.score < min.score {
-					min = c
+				if c.score < low.score {
+					low = c
 				}
 			}
-			if min.score >= opt.Threshold {
-				rep.Ambiguous = append(rep.Ambiguous, Relation{From: u, To: v, Kind: kind})
+			if low.score >= opt.Threshold {
+				p.ambiguous = append(p.ambiguous, Relation{From: u, To: v, Kind: kind})
 				continue
 			}
 			for _, c := range cands {
-				if c.score >= opt.Threshold || c.score > min.score*slack {
+				if c.score >= opt.Threshold || c.score > low.score*slack {
 					continue
 				}
 				peer := u
 				if c.vertex == u {
 					peer = v
 				}
-				addSuspect(c.vertex, c.field, peer)
-				rep.Repairs = append(rep.Repairs, repairFor(c, u, v, kind, isPresent))
+				p.hits = append(p.hits, suspectHit{vertex: c.vertex, peer: peer, field: c.field})
+				p.repairs = append(p.repairs, repairFor(c, u, v, kind, isPresent))
 			}
 		}
 	}
+}
 
-	vertices := make([]uint32, 0, len(suspectPeers))
-	for v := range suspectPeers {
-		vertices = append(vertices, v)
-	}
-	sort.Slice(vertices, func(i, j int) bool { return vertices[i] < vertices[j] })
-	for _, v := range vertices {
-		for _, f := range []Field{FieldID, FieldProperty} {
-			peers, ok := suspectPeers[v][f]
-			if !ok {
-				continue
+// suspects groups hits into one Suspect per implicated (vertex, field),
+// ordered by vertex then field (ID before Property), each with its peers
+// ascending and deduplicated.
+func suspects(hits [][]suspectHit, res *Result, workers int) []Suspect {
+	sorted, start := bucketSort(hits, 2*len(res.IDRank), workers, func(h suspectHit) int {
+		return 2*int(h.vertex) + int(h.field)
+	}, func(a, b suspectHit) int { return cmp.Compare(a.peer, b.peer) })
+	var out []Suspect
+	peers := make([]uint32, 0, len(sorted)) // every Suspect's Peers, back to back
+	for k := 0; k+1 < len(start); k++ {
+		bucket := sorted[start[k]:start[k+1]]
+		if len(bucket) == 0 {
+			continue
+		}
+		v, f := bucket[0].vertex, bucket[0].field
+		s := Suspect{Vertex: v, Field: f, Score: res.IDRank[v]}
+		if f == FieldProperty {
+			s.Score = res.PropRank[v]
+		}
+		from := len(peers)
+		for _, h := range bucket {
+			if len(peers) == from || peers[len(peers)-1] != h.peer {
+				peers = append(peers, h.peer)
 			}
-			score := res.IDRank[v]
-			if f == FieldProperty {
-				score = res.PropRank[v]
-			}
-			rep.Suspects = append(rep.Suspects, Suspect{
-				Vertex: v, Field: f, Score: score, Peers: dedupSorted(peers),
-			})
+		}
+		s.Peers = peers[from:len(peers):len(peers)]
+		out = append(out, s)
+	}
+	return out
+}
+
+// sortRepairs orders repairs over n vertices by the total key (Target,
+// Op, Source, Kind) and drops duplicates.
+func sortRepairs(n int, repairs [][]Repair, workers int) []Repair {
+	sorted, _ := bucketSort(repairs, n, workers, func(r Repair) int { return int(r.Target) },
+		func(a, b Repair) int {
+			return cmp.Or(cmp.Compare(a.Op, b.Op), cmp.Compare(a.Source, b.Source), cmp.Compare(a.Kind, b.Kind))
+		})
+	if len(sorted) == 0 {
+		return nil
+	}
+	return slices.Compact(sorted)
+}
+
+// bucketSort orders the items of parts by key (in [0, k)) with a
+// counting sort, then sorts each bucket by within, in parallel over
+// buckets. It returns the sorted items and the k+1 bucket starts.
+func bucketSort[T any](parts [][]T, k, workers int, key func(T) int, within func(a, b T) int) ([]T, []int) {
+	start := make([]int, k+1)
+	for _, part := range parts {
+		for _, it := range part {
+			start[key(it)+1]++
 		}
 	}
-	sort.Slice(rep.Repairs, func(i, j int) bool {
-		a, b := rep.Repairs[i], rep.Repairs[j]
-		if a.Target != b.Target {
-			return a.Target < b.Target
+	for b := 0; b < k; b++ {
+		start[b+1] += start[b]
+	}
+	out := make([]T, start[k])
+	cur := slices.Clone(start[:k])
+	for _, part := range parts {
+		for _, it := range part {
+			b := key(it)
+			out[cur[b]] = it
+			cur[b]++
 		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
+	}
+	par.ForRange(k, workers, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			if start[b+1]-start[b] > 1 {
+				slices.SortFunc(out[start[b]:start[b+1]], within)
+			}
 		}
-		return a.Source < b.Source
 	})
-	rep.Repairs = dedupRepairs(rep.Repairs)
-	return rep
+	return out, start
 }
 
 // repairFor translates a root-cause attribution for unpaired relation
@@ -264,32 +344,4 @@ func (r *Report) Suspected(v uint32, f Field) bool {
 		}
 	}
 	return false
-}
-
-func dedupSorted(xs []uint32) []uint32 {
-	if len(xs) == 0 {
-		return xs
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func dedupRepairs(rs []Repair) []Repair {
-	if len(rs) < 2 {
-		return rs
-	}
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := out[len(out)-1]
-		if r != last {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -30,70 +30,55 @@ type Bidirected struct {
 // NewBidirected builds both CSR orientations and classifies every edge as
 // paired or unpaired, all in parallel.
 func NewBidirected(n int, edges []Edge, workers int) *Bidirected {
-	fwd := BuildCSR(n, edges, true, workers)
-	rev := BuildCSR(n, ReverseEdges(edges), true, workers)
-	return newBidirectedFromCSR(fwd, rev, workers)
+	return newBidirected(n, edges, true, workers)
 }
 
 // NewBidirectedUntyped is NewBidirected for kind-less benchmark graphs;
 // it skips the per-edge kind arrays (one byte per edge per orientation).
 func NewBidirectedUntyped(n int, edges []Edge, workers int) *Bidirected {
-	fwd := BuildCSR(n, edges, false, workers)
-	rev := BuildCSR(n, ReverseEdges(edges), false, workers)
-	return newBidirectedFromCSR(fwd, rev, workers)
+	return newBidirected(n, edges, false, workers)
 }
 
-func newBidirectedFromCSR(fwd, rev *CSR, workers int) *Bidirected {
+// newBidirected builds Fwd and Rev, then classifies pairing with one
+// merge per vertex: Fwd[v] holds v's out-neighbours and Rev[v] its
+// in-neighbours, both ascending, and forward edge v->t is paired iff t
+// is also an in-neighbour (t->v exists), while reversed edge v->s is
+// paired iff s is also an out-neighbour (v->s exists). Every write
+// lands in v's own rows, so vertex shards never race.
+func newBidirected(n int, edges []Edge, keepKinds bool, workers int) *Bidirected {
+	fwd, rev := buildFwdRev(n, edges, keepKinds, workers)
 	b := &Bidirected{
 		Fwd:        fwd,
 		Rev:        rev,
 		FwdPaired:  make([]uint8, fwd.NumEdges()),
 		RevPaired:  make([]uint8, rev.NumEdges()),
-		PairedIn:   make([]int32, fwd.N),
-		UnpairedIn: make([]int32, fwd.N),
+		PairedIn:   make([]int32, n),
+		UnpairedIn: make([]int32, n),
 	}
-	n := fwd.N
-	// Classify forward edges: u->v is paired iff v->u exists. Sharded by
-	// source vertex, so writes to FwdPaired never race.
 	par.ForRange(n, workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			u := uint32(v)
-			s, e := fwd.EdgeRange(u)
-			for i := s; i < e; i++ {
-				if fwd.HasEdge(fwd.Targets[i], u) {
-					b.FwdPaired[i] = 1
+			i, fe := fwd.EdgeRange(uint32(v))
+			j, re := rev.EdgeRange(uint32(v))
+			var paired int32
+			for i < fe && j < re {
+				x, y := fwd.Targets[i], rev.Targets[j]
+				switch {
+				case x < y:
+					i++
+				case x > y:
+					j++
+				default:
+					for ; i < fe && fwd.Targets[i] == x; i++ {
+						b.FwdPaired[i] = 1
+					}
+					for ; j < re && rev.Targets[j] == x; j++ {
+						b.RevPaired[j] = 1
+						paired++
+					}
 				}
 			}
-		}
-	})
-	// Classify reversed edges: rev edge a->b mirrors forward b->a and is
-	// paired iff forward a->b also exists.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			a := uint32(v)
-			s, e := rev.EdgeRange(a)
-			for i := s; i < e; i++ {
-				if fwd.HasEdge(a, rev.Targets[i]) {
-					b.RevPaired[i] = 1
-				}
-			}
-		}
-	})
-	// Per-vertex paired/unpaired in-edge counts = classification of the
-	// vertex's out-edges in G_R.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s, e := rev.EdgeRange(uint32(v))
-			var p, up int32
-			for i := s; i < e; i++ {
-				if b.RevPaired[i] == 1 {
-					p++
-				} else {
-					up++
-				}
-			}
-			b.PairedIn[v] = p
-			b.UnpairedIn[v] = up
+			b.PairedIn[v] = paired
+			b.UnpairedIn[v] = int32(rev.Degree(uint32(v))) - paired
 		}
 	})
 	return b

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"faultyrank/internal/par"
 )
@@ -40,27 +40,14 @@ func (c *CSR) EdgeRange(v uint32) (lo, hi int64) {
 // HasEdge reports whether a directed edge u->v exists, via binary search
 // over u's sorted adjacency.
 func (c *CSR) HasEdge(u, v uint32) bool {
-	adj := c.Neighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
-}
-
-// EdgeIndex returns the index into Targets of the first u->v edge, or -1.
-func (c *CSR) EdgeIndex(u, v uint32) int64 {
-	lo, hi := c.EdgeRange(u)
-	adj := c.Targets[lo:hi]
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	if i < len(adj) && adj[i] == v {
-		return lo + int64(i)
-	}
-	return -1
+	_, ok := slices.BinarySearch(c.Neighbors(u), v)
+	return ok
 }
 
 // EdgeMultiplicity returns how many parallel u->v edges exist.
 func (c *CSR) EdgeMultiplicity(u, v uint32) int {
-	lo, hi := c.EdgeRange(u)
-	adj := c.Targets[lo:hi]
-	first := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
+	adj := c.Neighbors(u)
+	first, _ := slices.BinarySearch(adj, v)
 	n := 0
 	for i := first; i < len(adj) && adj[i] == v; i++ {
 		n++
@@ -94,7 +81,7 @@ func (c *CSR) MemoryBytes() int64 {
 }
 
 // csrCountBudget bounds the total size of the per-worker count arrays
-// BuildCSR allocates (bytes). With very large vertex counts the worker
+// a build allocates (bytes). With very large vertex counts the worker
 // count is reduced so W*n*8 stays under the budget; counting then runs
 // on fewer cores but never touches an atomic.
 const csrCountBudget = 2 << 30
@@ -119,93 +106,77 @@ func csrCountWorkers(n, m, workers int) int {
 	return workers
 }
 
-// BuildCSR builds a CSR over n vertices from an edge list, in parallel
-// and without write contention: each worker counts out-degrees of its
-// contiguous edge range into a private count array, the per-worker
-// counts are reduced into global offsets via par.ExclusivePrefixSum64
-// plus a column-wise scan that yields every worker a private scatter
-// cursor per vertex, and the scatter pass then writes disjoint slots —
-// no atomics anywhere, and slot assignment is deterministic (edge input
-// order per vertex). Each vertex's adjacency is finally sorted so
-// lookups can binary-search. Edges referencing vertices >= n cause a
-// panic — callers (the aggregator) densify IDs first.
+// BuildCSR builds a CSR over n vertices from an edge list, in parallel,
+// without write contention and without a comparison sort. The edge list
+// is scattered into unsorted rows, the rows are transposed, and the
+// transpose is transposed back: a transpose walks its source rows in
+// order, so every output row comes out ascending (see csrBuilder).
+// Parallel edges are ordered by kind. Edges referencing vertices >= n
+// cause a panic — callers (the aggregator) densify IDs first.
 //
 // keepKinds controls whether the per-edge kind array is retained; pure
 // benchmark graphs drop it to save a byte per edge.
 func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
+	fwd, _ := buildFwdRev(n, edges, keepKinds, workers)
+	return fwd
+}
+
+// buildFwdRev builds a graph's CSR and the CSR of its transpose, both
+// with rows ascending by (target, kind).
+func buildFwdRev(n int, edges []Edge, keepKinds bool, workers int) (fwd, rev *CSR) {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
+	cb := &csrBuilder{n: n, w: csrCountWorkers(n, len(edges), workers), workers: workers}
+	scattered := cb.scatter(edges, keepKinds)
+	rev = cb.transpose(scattered, nil)
+	if keepKinds {
+		sortKindTies(rev, workers)
+	}
+	// The scattered rows are dead once transposed; the final forward
+	// CSR reuses their storage (its offsets are the same out-degrees).
+	fwd = cb.transpose(rev, scattered)
+	return fwd, rev
+}
+
+// csrBuilder runs the contention-free count / prefix / scatter passes
+// every build step shares. Each of w workers owns one contiguous block
+// of the input, counts the rows its block writes into a private count
+// array, and a column-wise scan over those counts gives every worker a
+// private cursor per output row, so the scatter writes disjoint slots
+// with no atomics. Within a row, worker w's slots precede worker w+1's
+// and each worker writes in input order, so the slot order is the input
+// order whatever the worker count.
+type csrBuilder struct {
+	n, w, workers int
+	counts        []int64 // w*n: counts[w*n+v], then worker w's cursor for row v
+}
+
+// scatter lays the edge list out as a CSR whose rows hold their edges
+// in input order. Worker w owns edges [w*chunk, min((w+1)*chunk, m)).
+func (cb *csrBuilder) scatter(edges []Edge, keepKinds bool) *CSR {
+	n, m := cb.n, len(edges)
 	c := &CSR{N: n, Offsets: make([]int64, n+1)}
-	m := len(edges)
 	if m == 0 {
 		return c
 	}
-
-	// Both passes split the edge array into the same W contiguous ranges:
-	// worker w owns edges [w*chunk, min((w+1)*chunk, m)).
-	W := csrCountWorkers(n, m, workers)
-	chunk := (m + W - 1) / W
-
-	// Pass 1: private per-worker out-degree counts. counts[w*n+v] is the
-	// number of edges with source v in worker w's range.
-	counts := make([]int64, W*n)
-	par.ForEach(W, W, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m {
-			hi = m
-		}
-		cnt := counts[w*n : (w+1)*n]
-		for i := lo; i < hi; i++ {
-			src := edges[i].Src
-			if int(src) >= n || int(edges[i].Dst) >= n {
-				panic(fmt.Sprintf("graph: edge %d (%d->%d) out of range n=%d", i, edges[i].Src, edges[i].Dst, n))
+	chunk := (m + cb.w - 1) / cb.w
+	block := func(w int) []Edge { return edges[w*chunk : min((w+1)*chunk, m)] }
+	cb.count(func(w int, cnt []int64) {
+		for i, e := range block(w) {
+			if int(e.Src) >= n || int(e.Dst) >= n {
+				panic(fmt.Sprintf("graph: edge %d (%d->%d) out of range n=%d", w*chunk+i, e.Src, e.Dst, n))
 			}
-			cnt[src]++
+			cnt[e.Src]++
 		}
-	})
-
-	// Reduce: per-vertex totals -> exclusive prefix sum -> offsets.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var t int64
-			for w := 0; w < W; w++ {
-				t += counts[w*n+v]
-			}
-			c.Offsets[v] = t
-		}
-	})
-	total := par.ExclusivePrefixSum64(c.Offsets[:n])
-	c.Offsets[n] = total
-
-	// Column-wise exclusive scan turns each worker's count into its
-	// private start cursor: worker w's slots for vertex v begin at
-	// Offsets[v] + Σ_{w'<w} counts[w'][v].
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			run := c.Offsets[v]
-			for w := 0; w < W; w++ {
-				cw := counts[w*n+v]
-				counts[w*n+v] = run
-				run += cw
-			}
-		}
-	})
-
-	// Pass 2: scatter. Worker w re-walks its edge range bumping only its
-	// own cursors, so every Targets slot is written exactly once.
-	c.Targets = make([]uint32, total)
+	}, c.Offsets)
+	c.Targets = make([]uint32, m)
 	if keepKinds {
-		c.Kinds = make([]EdgeKind, total)
+		c.Kinds = make([]EdgeKind, m)
 	}
-	par.ForEach(W, W, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m {
-			hi = m
-		}
-		cur := counts[w*n : (w+1)*n]
-		for i := lo; i < hi; i++ {
-			e := edges[i]
+	par.ForEach(cb.w, cb.w, func(w int) {
+		cur := cb.counts[w*n : (w+1)*n]
+		for _, e := range block(w) {
 			at := cur[e.Src]
 			cur[e.Src] = at + 1
 			c.Targets[at] = e.Dst
@@ -214,76 +185,108 @@ func BuildCSR(n int, edges []Edge, keepKinds bool, workers int) *CSR {
 			}
 		}
 	})
-
-	// Pass 3: sort each adjacency (targets ascending, kind as tiebreak)
-	// so that HasEdge/EdgeIndex can binary-search and iteration order is
-	// deterministic regardless of scatter interleaving.
-	par.ForRange(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s, e := c.Offsets[v], c.Offsets[v+1]
-			if e-s < 2 {
-				continue
-			}
-			sortAdjacency(c.Targets[s:e], kindsSlice(c.Kinds, s, e))
-		}
-	})
 	return c
 }
 
-func kindsSlice(kinds []EdgeKind, s, e int64) []EdgeKind {
-	if kinds == nil {
-		return nil
-	}
-	return kinds[s:e]
-}
-
-// sortAdjacency sorts targets ascending, permuting kinds alongside when
-// present. Adjacency lists are typically tiny (PFS metadata graphs have
-// bounded fan-out), so insertion sort wins for short runs; longer runs
-// fall back to sort.Sort.
-func sortAdjacency(targets []uint32, kinds []EdgeKind) {
-	if len(targets) <= 32 {
-		for i := 1; i < len(targets); i++ {
-			t := targets[i]
-			var k EdgeKind
-			if kinds != nil {
-				k = kinds[i]
-			}
-			j := i - 1
-			for j >= 0 && (targets[j] > t || (targets[j] == t && kinds != nil && kinds[j] > k)) {
-				targets[j+1] = targets[j]
-				if kinds != nil {
-					kinds[j+1] = kinds[j]
-				}
-				j--
-			}
-			targets[j+1] = t
-			if kinds != nil {
-				kinds[j+1] = k
+// transpose returns the transpose of src, writing into dst's arrays when
+// dst is non-nil (dst must have src's vertex and edge counts). Worker w
+// walks a contiguous block of source rows in ascending order, so the
+// sources land in every output row ascending; parallel edges keep the
+// order they have in their source row. Row blocks are cut at equal edge
+// counts, which balances hub-heavy graphs; the output does not depend on
+// where the cuts fall.
+func (cb *csrBuilder) transpose(src, dst *CSR) *CSR {
+	n, m := cb.n, len(src.Targets)
+	if dst == nil {
+		dst = &CSR{N: n, Offsets: make([]int64, n+1)}
+		if m > 0 {
+			dst.Targets = make([]uint32, m)
+			if src.Kinds != nil {
+				dst.Kinds = make([]EdgeKind, m)
 			}
 		}
-		return
 	}
-	sort.Sort(&adjSorter{targets, kinds})
+	if m == 0 {
+		return dst
+	}
+	rows := make([]int, cb.w+1)
+	for w := 1; w < cb.w; w++ {
+		rows[w], _ = slices.BinarySearch(src.Offsets[:n], int64(w)*int64(m)/int64(cb.w))
+	}
+	rows[cb.w] = n
+	cb.count(func(w int, cnt []int64) {
+		for _, t := range src.Targets[src.Offsets[rows[w]]:src.Offsets[rows[w+1]]] {
+			cnt[t]++
+		}
+	}, dst.Offsets)
+	par.ForEach(cb.w, cb.w, func(w int) {
+		cur := cb.counts[w*n : (w+1)*n]
+		for u := rows[w]; u < rows[w+1]; u++ {
+			for i := src.Offsets[u]; i < src.Offsets[u+1]; i++ {
+				t := src.Targets[i]
+				at := cur[t]
+				cur[t] = at + 1
+				dst.Targets[at] = uint32(u)
+				if dst.Kinds != nil {
+					dst.Kinds[at] = src.Kinds[i]
+				}
+			}
+		}
+	})
+	return dst
 }
 
-type adjSorter struct {
-	targets []uint32
-	kinds   []EdgeKind
+// count runs countBlock once per worker over a zeroed private count
+// array, reduces the counts into offsets (length n+1) and turns every
+// worker's counts into its private start cursors: worker w's slots for
+// row v begin at offsets[v] + Σ_{w'<w} counts[w'][v].
+func (cb *csrBuilder) count(countBlock func(w int, cnt []int64), offsets []int64) {
+	n, W := cb.n, cb.w
+	if cb.counts == nil {
+		cb.counts = make([]int64, W*n)
+	} else {
+		clear(cb.counts)
+	}
+	par.ForEach(W, W, func(w int) { countBlock(w, cb.counts[w*n:(w+1)*n]) })
+	par.ForRange(n, cb.workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			var t int64
+			for w := 0; w < W; w++ {
+				t += cb.counts[w*n+v]
+			}
+			offsets[v] = t
+		}
+	})
+	offsets[n] = par.ExclusivePrefixSum64(offsets[:n])
+	par.ForRange(n, cb.workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			run := offsets[v]
+			for w := 0; w < W; w++ {
+				cw := cb.counts[w*n+v]
+				cb.counts[w*n+v] = run
+				run += cw
+			}
+		}
+	})
 }
 
-func (a *adjSorter) Len() int { return len(a.targets) }
-func (a *adjSorter) Less(i, j int) bool {
-	if a.targets[i] != a.targets[j] {
-		return a.targets[i] < a.targets[j]
-	}
-	return a.kinds != nil && a.kinds[i] < a.kinds[j]
-}
-func (a *adjSorter) Swap(i, j int) {
-	a.targets[i], a.targets[j] = a.targets[j], a.targets[i]
-	if a.kinds != nil {
-		a.kinds[i], a.kinds[j] = a.kinds[j], a.kinds[i]
-	}
+// sortKindTies orders every run of equal targets in c by kind. The rows
+// are already ascending by target, so the insertion step only moves an
+// edge within its run and a row without parallel edges costs one pass.
+func sortKindTies(c *CSR, workers int) {
+	par.ForRange(c.N, workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s, e := c.Offsets[v], c.Offsets[v+1]
+			for i := s + 1; i < e; i++ {
+				t, k := c.Targets[i], c.Kinds[i]
+				j := i
+				for ; j > s && c.Targets[j-1] == t && c.Kinds[j-1] > k; j-- {
+					c.Kinds[j] = c.Kinds[j-1]
+				}
+				c.Kinds[j] = k
+			}
+		}
+	})
 }
 
 // ReverseEdges returns the edge list of the transposed graph. Edge kinds
